@@ -61,7 +61,7 @@ for term in ("linux", "shopping", "the"):
 
 # --- documents become convex combinations of their term vectors -----------
 doc_vec = aggregate_documents(corpus.docs[0], ssr, vocab, weighting="mean")
-print(f"\n{doc_vec.source_author} aggregated over SSR:", np.round(doc_vec.values, 3))
+print(f"\n{corpus.docs[0].author_id} aggregated over SSR:", np.round(doc_vec, 3))
 
 # --- matrices round-trip through the textual container --------------------
 save_term_matrix(ssr, "/tmp/ssr_demo.txt", mode="text")

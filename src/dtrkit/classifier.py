@@ -8,6 +8,7 @@ more than two categories.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import AuthorDoc, Corpus, Vocabulary
-from .representations import count_matrix
+from .representations import _fmt, _row_l2_normalize, count_matrix
 
 __all__ = [
     "BOW_WEIGHTINGS",
@@ -45,28 +46,8 @@ def compute_idf(train: Corpus | list[AuthorDoc], vocab: Vocabulary) -> np.ndarra
 def build_bow(
     doc: AuthorDoc, vocab: Vocabulary, weighting: str = "tf", idf: np.ndarray | None = None
 ) -> np.ndarray:
-    """Fixed-vocabulary document vector.
-
-    ``tf`` keeps raw counts, ``boolean`` presence flags, ``tfidf`` multiplies
-    counts by the supplied training-fold idf and L2-normalizes.
-    """
-    if weighting not in BOW_WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {BOW_WEIGHTINGS}, got {weighting!r}")
-    vec = np.zeros(len(vocab))
-    for term, count in doc.counts.items():
-        j = vocab.index.get(term)
-        if j is not None:
-            vec[j] = float(count)
-    if weighting == "boolean":
-        return (vec > 0).astype(np.float64)
-    if weighting == "tfidf":
-        if idf is None:
-            raise ValueError("tfidf weighting requires idf computed on the training fold")
-        vec = vec * idf
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-    return vec
+    """One document's dense row of :func:`build_bow_matrix`."""
+    return build_bow_matrix([doc], vocab, weighting, idf).toarray()[0]
 
 
 def build_bow_matrix(
@@ -75,7 +56,11 @@ def build_bow_matrix(
     weighting: str = "tf",
     idf: np.ndarray | None = None,
 ) -> sp.csr_matrix:
-    """Sparse stack of :func:`build_bow` rows."""
+    """Sparse fixed-vocabulary document vectors, one row per document.
+
+    ``tf`` keeps raw counts, ``boolean`` presence flags, ``tfidf`` multiplies
+    counts by the supplied training-fold idf and L2-normalizes each row.
+    """
     if weighting not in BOW_WEIGHTINGS:
         raise ValueError(f"weighting must be one of {BOW_WEIGHTINGS}, got {weighting!r}")
     mat = count_matrix(docs, vocab)
@@ -84,12 +69,7 @@ def build_bow_matrix(
     elif weighting == "tfidf":
         if idf is None:
             raise ValueError("tfidf weighting requires idf computed on the training fold")
-        mat = mat.multiply(idf[np.newaxis, :]).tocsr()
-        sq = mat.copy()
-        sq.data = sq.data**2
-        norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
-        inv = np.where(norms > 0, 1.0 / np.maximum(norms, 1e-300), 0.0)
-        mat = (sp.diags(inv) @ mat).tocsr()
+        mat = _row_l2_normalize(mat.multiply(idf[np.newaxis, :]).tocsr())
     return mat
 
 
@@ -173,6 +153,7 @@ def _dual_cd(X: sp.csr_matrix, y: np.ndarray, C: float, rng, tol: float, max_epo
         "dual_objective": [float(v) for v in objective],
         "duality_gap": float(primal + objective[-1]),
         "final_violation": float(max_viol),
+        "converged": bool(max_viol < tol),
     }
     return w, info
 
@@ -223,6 +204,13 @@ def train_linear_svm(
         ybin = np.where(label_arr == cat, 1.0, -1.0)
         weights[m], info = _dual_cd(aug, ybin, C, np.random.default_rng(child), tol, max_epochs)
         info["category"] = cat
+        if not info["converged"]:
+            warnings.warn(
+                f"linear SVM for category {cat!r} stopped unconverged after "
+                f"{info['epochs']} epochs: final violation {info['final_violation']:.4g} "
+                f">= tol {tol}",
+                RuntimeWarning,
+            )
         runs.append(info)
     meta = {"solver": "dual-cd", "seed": seed, "tol": tol, "runs": runs}
     return SvmModel(
@@ -255,10 +243,6 @@ def predict(model: SvmModel, X) -> list[str]:
     if len(model.categories) == 2:
         return [model.categories[0] if v >= 0 else model.categories[1] for v in dec[:, 0]]
     return [model.categories[int(i)] for i in dec.argmax(axis=1)]
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def save_svm_model(model: SvmModel, path) -> None:

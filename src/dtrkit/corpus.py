@@ -88,6 +88,9 @@ class Corpus:
         self.tasks = frozenset(self.tasks)
         seen: set[str] = set()
         for doc in self.docs:
+            if not doc.author_id or "\n" in doc.author_id or "\r" in doc.author_id:
+                # Text containers write one id per line.
+                raise ValueError(f"author_id {doc.author_id!r} must be non-empty and single-line")
             if doc.author_id in seen:
                 raise ValueError(f"duplicate author_id {doc.author_id!r}")
             seen.add(doc.author_id)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Corpus, Vocabulary
-from .representations import TermMatrix
+from .representations import TermMatrix, _fmt
 
 __all__ = [
     "EmbeddingConfig",
@@ -138,10 +138,6 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
         w_in,
         meta={"objective": objective, "config": asdict(cfg)},
     )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def save_embeddings(tm: TermMatrix, path) -> None:

@@ -18,9 +18,8 @@ import scipy.sparse as sp
 from .corpus import AuthorDoc, Corpus, Vocabulary
 
 __all__ = [
-    "REP_KINDS",
+    "TERM_MATRIX_KINDS",
     "TermMatrix",
-    "DocVector",
     "SubprofileAssignment",
     "count_matrix",
     "build_dor",
@@ -33,7 +32,7 @@ __all__ = [
     "load_term_matrix",
 ]
 
-REP_KINDS = ("DOR", "TCOR", "SSR", "EMBEDDING")
+TERM_MATRIX_KINDS = ("DOR", "TCOR", "SSR", "EMBEDDING")
 
 AGG_WEIGHTINGS = ("mean", "tf-weighted")
 
@@ -57,8 +56,10 @@ class TermMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.rep_kind not in REP_KINDS:
-            raise ValueError(f"rep_kind must be one of {REP_KINDS}, got {self.rep_kind!r}")
+        if self.rep_kind not in TERM_MATRIX_KINDS:
+            raise ValueError(
+                f"rep_kind must be one of {TERM_MATRIX_KINDS}, got {self.rep_kind!r}"
+            )
         if self.matrix.shape[0] != len(self.terms):
             raise ValueError(
                 f"matrix has {self.matrix.shape[0]} rows for {len(self.terms)} terms"
@@ -84,14 +85,6 @@ class TermMatrix:
         if sp.issparse(self.matrix):
             return self.matrix.toarray().astype(np.float64)
         return np.asarray(self.matrix, dtype=np.float64)
-
-
-@dataclass
-class DocVector:
-    """Aggregated per-author representation in the term matrix's feature space."""
-
-    values: np.ndarray
-    source_author: str
 
 
 @dataclass
@@ -194,26 +187,20 @@ def build_tcor(
     if idf_mode not in TCOR_IDF_MODES:
         raise ValueError(f"idf_mode must be one of {TCOR_IDF_MODES}, got {idf_mode!r}")
     _require_nonempty(train, vocab)
-    counts = count_matrix(train.docs, vocab)
-    binary = counts.copy()
+    binary = count_matrix(train.docs, vocab)
     binary.data = np.ones_like(binary.data)
-    co = (binary.T @ binary).tocoo()
-    off_diag = co.row != co.col
-    co = sp.csr_matrix(
-        (co.data[off_diag], (co.row[off_diag], co.col[off_diag])), shape=co.shape
-    )
-    partners = co.getnnz(axis=1).astype(np.float64)  # symmetric, so rows == columns
+    # Nearly every pair of terms shares some document, so the matrix is
+    # stored dense: CSR would take more memory than the dense array.
+    co = binary.T @ binary.toarray()
+    np.fill_diagonal(co, 0.0)
+    partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
     n_terms = len(vocab)
     log = _log_fn(base)
     idf = np.where(partners > 0, log(n_terms / np.maximum(partners, 1.0)), 0.0)
-    weighted = co.copy()
-    weighted.data = 1.0 + log(weighted.data)
-    if idf_mode == "feature-term":
-        weighted = weighted.multiply(idf[np.newaxis, :]).tocsr()
-    else:
-        weighted = weighted.multiply(idf[:, np.newaxis]).tocsr()
-    weighted.eliminate_zeros()
-    return TermMatrix("TCOR", list(vocab.terms), weighted, feature_names=list(vocab.terms))
+    shared = co > 0
+    co[shared] = 1.0 + log(co[shared])
+    co *= idf[np.newaxis, :] if idf_mode == "feature-term" else idf[:, np.newaxis]
+    return TermMatrix("TCOR", list(vocab.terms), co, feature_names=list(vocab.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +212,13 @@ def _row_sq_norms(X: sp.csr_matrix) -> np.ndarray:
     sq = X.copy()
     sq.data = sq.data**2
     return np.asarray(sq.sum(axis=1)).ravel()
+
+
+def _row_l2_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
+    """Rows of ``X`` scaled to unit L2 norm; all-zero rows stay zero."""
+    norms = np.sqrt(_row_sq_norms(X))
+    inv = np.where(norms > 0, 1.0 / np.maximum(norms, 1e-300), 0.0)
+    return (sp.diags(inv) @ X).tocsr()
 
 
 def _sq_distances(X: sp.csr_matrix, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
@@ -329,10 +323,7 @@ def cluster_subprofiles(
     if k_per_class < 1:
         raise ValueError("k_per_class must be a positive integer")
     _require_nonempty(train, vocab)
-    counts = count_matrix(train.docs, vocab)
-    norms = np.sqrt(_row_sq_norms(counts))
-    scale = np.where(norms > 0, 1.0 / np.maximum(norms, 1e-300), 0.0)
-    X = (sp.diags(scale) @ counts).tocsr()
+    X = _row_l2_normalize(count_matrix(train.docs, vocab))
     rng = np.random.default_rng(seed % (2**63))
     mapping: dict[str, int] = {}
     labels: list[str] = []
@@ -407,62 +398,36 @@ def build_ssr(
 # ---------------------------------------------------------------------------
 
 
-def _term_alphas(doc: AuthorDoc, vocab: Vocabulary, weighting: str):
-    if weighting not in AGG_WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {AGG_WEIGHTINGS}, got {weighting!r}")
-    idx: list[int] = []
-    cnt: list[float] = []
-    for term, count in doc.counts.items():
-        j = vocab.index.get(term)
-        if j is not None:
-            idx.append(j)
-            cnt.append(float(count))
-    if not idx:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    indices = np.asarray(idx, dtype=np.int64)
-    counts = np.asarray(cnt)
-    order = np.argsort(indices)
-    indices, counts = indices[order], counts[order]
-    if weighting == "mean":
-        alphas = counts / counts.sum()
-    else:
-        logged = 1.0 + np.log(counts)
-        alphas = logged / logged.sum()
-    return indices, alphas
-
-
-def aggregate_documents(
-    doc: AuthorDoc, tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
-) -> DocVector:
-    """Convex combination of the document's term vectors.
+def aggregate_corpus(
+    docs: list[AuthorDoc], tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
+) -> np.ndarray:
+    """Convex combination of each document's term vectors, one row per document.
 
     ``mean`` weighs each vocabulary term by its share of the document's
     in-vocabulary tokens; ``tf-weighted`` uses normalized ``1 + log(count)``
     weights.  Out-of-vocabulary tokens are skipped; a document with no
     in-vocabulary tokens maps to the zero vector (with a warning).
     """
+    if weighting not in AGG_WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {AGG_WEIGHTINGS}, got {weighting!r}")
     if list(tm.terms) != list(vocab.terms):
         raise ValueError("term matrix was built on a different vocabulary")
-    indices, alphas = _term_alphas(doc, vocab, weighting)
-    if indices.size == 0:
-        warnings.warn(f"document {doc.author_id!r} has no in-vocabulary tokens; zero vector")
-        return DocVector(np.zeros(tm.dims), doc.author_id)
-    rows = tm.matrix[indices]
-    if sp.issparse(rows):
-        values = np.asarray(rows.T @ alphas).ravel()
-    else:
-        values = alphas @ np.asarray(rows, dtype=np.float64)
-    return DocVector(values, doc.author_id)
+    weights = count_matrix(docs, vocab)
+    if weighting == "tf-weighted":
+        weights.data = 1.0 + np.log(weights.data)
+    totals = np.asarray(weights.sum(axis=1)).ravel()
+    for i in np.flatnonzero(totals == 0):
+        warnings.warn(f"document {docs[i].author_id!r} has no in-vocabulary tokens; zero vector")
+    weights.data /= np.repeat(totals, np.diff(weights.indptr))
+    out = weights @ tm.matrix
+    return out.toarray() if sp.issparse(out) else out
 
 
-def aggregate_corpus(
-    docs: list[AuthorDoc], tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
+def aggregate_documents(
+    doc: AuthorDoc, tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
 ) -> np.ndarray:
-    """Stack of ``aggregate_documents`` vectors, one row per document."""
-    out = np.zeros((len(docs), tm.dims))
-    for i, doc in enumerate(docs):
-        out[i] = aggregate_documents(doc, tm, vocab, weighting).values
-    return out
+    """One document's row of :func:`aggregate_corpus`."""
+    return aggregate_corpus([doc], tm, vocab, weighting)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,34 @@ def naive_tcor(
     return out
 
 
+def naive_aggregate(
+    doc_tokens: list[list[str]],
+    vocab_terms: list[str],
+    term_rows: np.ndarray,
+    weighting: str = "mean",
+) -> np.ndarray:
+    """Per-document loop: weighted average of the rows of in-vocabulary terms.
+
+    ``mean`` weighs a term by its count, ``tf-weighted`` by ``1 + log(count)``;
+    a document without in-vocabulary tokens stays the zero vector.
+    """
+    row_of = {term: i for i, term in enumerate(vocab_terms)}
+    out = np.zeros((len(doc_tokens), term_rows.shape[1]))
+    for d, tokens in enumerate(doc_tokens):
+        counts: dict[str, int] = {}
+        for token in tokens:
+            if token in row_of:
+                counts[token] = counts.get(token, 0) + 1
+        weights = {
+            term: count if weighting == "mean" else 1.0 + math.log(count)
+            for term, count in counts.items()
+        }
+        total = sum(weights.values())
+        for term, weight in weights.items():
+            out[d] += (weight / total) * term_rows[row_of[term]]
+    return out
+
+
 def brute_force_wilcoxon(a, b) -> tuple[float, float, int]:
     """Exact two-sided signed-rank p by enumerating every sign assignment.
 

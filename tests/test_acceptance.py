@@ -144,7 +144,7 @@ def test_aggregation_convex_combination():
         vocab = build_vocabulary(corpus)
         rows = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 4.0]], dtype=float)
         tm = TermMatrix("EMBEDDING", list(vocab.terms), rows)
-        got = aggregate_documents(corpus.docs[0], tm, vocab, "mean").values
+        got = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
         want = (
             0.5 * rows[vocab.index["a"]]
             + 0.25 * rows[vocab.index["b"]]
@@ -162,8 +162,8 @@ def test_aggregation_convex_combination():
             tm = TermMatrix(
                 "EMBEDDING", list(vocab.terms), rng.normal(size=(len(vocab), 4))
             )
-            first = aggregate_documents(pair.docs[0], tm, vocab, "mean").values
-            second = aggregate_documents(pair.docs[1], tm, vocab, "mean").values
+            first = aggregate_documents(pair.docs[0], tm, vocab, "mean")
+            second = aggregate_documents(pair.docs[1], tm, vocab, "mean")
             np.testing.assert_allclose(first, second, atol=1e-12, rtol=0)
 
 

@@ -14,6 +14,8 @@ from dtrkit.classifier import (
     train_linear_svm,
 )
 from dtrkit.corpus import build_vocabulary
+from dtrkit.representations import aggregate_corpus, build_dor
+from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens, random_token_lists
 
@@ -101,6 +103,26 @@ class TestTrainLinearSvm:
         for run in model.meta["runs"]:
             assert run["duality_gap"] >= -1e-9
             assert run["duality_gap"] < 1.0
+            assert run["converged"] is True
+
+    def test_unconverged_stop_warns_and_is_recorded(self):
+        corpus = make_synthetic_corpus(
+            n_categories=2,
+            authors_per_category=20,
+            exclusive_terms=20,
+            shared_terms=100,
+            tokens_per_doc=60,
+            topical_fraction=0.05,
+            seed=3,
+            task="topic",
+        )
+        vocab = build_vocabulary(corpus)
+        X = aggregate_corpus(corpus.docs, build_dor(corpus, vocab), vocab)
+        with pytest.warns(RuntimeWarning, match="unconverged after 20 epochs"):
+            model = train_linear_svm(X, corpus.labels("topic"), C=1000.0, max_epochs=20)
+        (run,) = model.meta["runs"]
+        assert run["converged"] is False
+        assert run["final_violation"] >= model.meta["tol"]
 
     def test_seed_fixes_model_exactly(self, rng):
         X = rng.normal(size=(40, 4))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,14 @@ class TestLoadJsonl:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             load_corpus(tmp_path, "xml")
+
+    @pytest.mark.parametrize("author_id", ["", "a\nb", "a\rb"])
+    def test_unwritable_author_id_rejected(self, tmp_path, author_id):
+        path = tmp_path / "c.jsonl"
+        record = {"author_id": author_id, "text": "a text", "gender": "f"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(repr(author_id))):
+            load_corpus(path, "jsonl")
 
 
 class TestCorpusInvariants:

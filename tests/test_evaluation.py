@@ -405,9 +405,10 @@ class TestCrossValidate:
         assert report.folds[0].rep_dims == 6
 
     @pytest.mark.filterwarnings("ignore:document .* has no in-vocabulary tokens")
-    def test_fold_matrix_identical_after_corrupting_test_texts(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["dor", "tcor", "ssr"])
+    def test_fold_matrix_identical_after_corrupting_test_texts(self, tmp_path, kind):
         corpus = self.small_corpus(seed=8)
-        rep = RepConfig(kind="dor")
+        rep = RepConfig(kind=kind)
         baseline = cross_validate(
             corpus, "topic", rep, k=5, seed=13, keep_fold_matrices=True
         )

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dtrkit.corpus import build_vocabulary
+from dtrkit.corpus import AuthorDoc, build_vocabulary
 from dtrkit.representations import (
     SubprofileAssignment,
     TermMatrix,
@@ -21,7 +22,7 @@ from dtrkit.representations import (
 )
 
 from conftest import corpus_from_tokens, random_token_lists
-from oracles import best_two_partition_sse, naive_dor, naive_tcor
+from oracles import best_two_partition_sse, naive_aggregate, naive_dor, naive_tcor
 
 DOR_EXAMPLE = 1.4546471909787544  # (1 + ln 3) * ln(8/4)
 TCOR_EXAMPLE = 1.1736001944781467  # (1 + ln 2) * ln(8/4)
@@ -168,7 +169,6 @@ class TestClusterSubprofiles:
     def test_matches_brute_force_partition(self, rng):
         # Six 2-d points, one category; compare against exhaustive 2-means.
         from dtrkit.representations import _kmeans
-        import scipy.sparse as sp
 
         for _ in range(10):
             points = rng.normal(size=(6, 2))
@@ -307,14 +307,14 @@ class TestAggregate:
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0, 0.0], [0.0, 1.0]])
         out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
-        np.testing.assert_allclose(out.values, [0.5, 0.5])
+        np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_weighted_mean(self):
         corpus = corpus_from_tokens([["a", "a", "a", "b"]])
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0, 0.0], [0.0, 1.0]])
         out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
-        np.testing.assert_allclose(out.values, [0.75, 0.25])
+        np.testing.assert_allclose(out, [0.75, 0.25])
 
     def test_all_tokens_out_of_vocabulary(self):
         corpus = corpus_from_tokens([["a", "b"], ["zzz", "qqq"]])
@@ -322,7 +322,7 @@ class TestAggregate:
         tm = self.make_matrix(vocab, [[1.0], [2.0]])
         with pytest.warns(UserWarning, match="doc001"):
             out = aggregate_documents(corpus.docs[1], tm, vocab)
-        np.testing.assert_array_equal(out.values, [0.0])
+        np.testing.assert_array_equal(out, [0.0])
 
     def test_token_order_invariance(self, rng):
         tokens = ["a", "b", "b", "c", "c", "c", "d"]
@@ -335,14 +335,14 @@ class TestAggregate:
             for weighting in ("mean", "tf-weighted"):
                 first = aggregate_documents(corpus.docs[0], tm, vocab, weighting)
                 second = aggregate_documents(corpus.docs[1], tm, vocab, weighting)
-                np.testing.assert_allclose(first.values, second.values, atol=1e-12)
+                np.testing.assert_allclose(first, second, atol=1e-12)
 
     def test_result_in_convex_hull(self, rng):
         corpus = corpus_from_tokens([["a", "a", "b", "c"]])
         vocab = vocab_of(corpus)
         rows = rng.normal(size=(3, 4))
         tm = self.make_matrix(vocab, rows)
-        out = aggregate_documents(corpus.docs[0], tm, vocab, "mean").values
+        out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
         assert (out <= rows.max(axis=0) + 1e-12).all()
         assert (out >= rows.min(axis=0) - 1e-12).all()
 
@@ -353,7 +353,7 @@ class TestAggregate:
         out = aggregate_documents(corpus.docs[0], tm, vocab, "tf-weighted")
         wa, wb = 1.0 + math.log(3.0), 1.0
         np.testing.assert_allclose(
-            out.values, [wa / (wa + wb), wb / (wa + wb)], atol=1e-12
+            out, [wa / (wa + wb), wb / (wa + wb)], atol=1e-12
         )
 
     def test_sparse_and_dense_paths_agree(self, rng):
@@ -366,6 +366,32 @@ class TestAggregate:
         got_sparse = aggregate_corpus(corpus.docs, tm_sparse, vocab)
         got_dense = aggregate_corpus(corpus.docs, tm_dense, vocab)
         np.testing.assert_allclose(got_sparse, got_dense, atol=1e-12)
+
+    def test_matches_naive_loop_for_every_term_matrix_kind(self, rng):
+        for _ in range(10):
+            lists = random_token_lists(rng, max_docs=6)
+            labels = ["x" if i % 2 == 0 else "y" for i in range(len(lists))]
+            corpus = corpus_from_tokens(lists, labels=labels)
+            vocab = vocab_of(corpus)
+            assignment = cluster_subprofiles(corpus, "cat", vocab, 2, seed=5)
+            matrices = [
+                build_dor(corpus, vocab),
+                build_tcor(corpus, vocab),
+                build_ssr(corpus, vocab, assignment),
+                TermMatrix("EMBEDDING", vocab.terms, rng.normal(size=(len(vocab), 3))),
+            ]
+            assert sp.issparse(matrices[0].matrix)
+            assert isinstance(matrices[1].matrix, np.ndarray)
+            docs = corpus.docs + [AuthorDoc.from_text("oov", "zzz qqq", {"cat": "x"})]
+            for tm in matrices:
+                for weighting in ("mean", "tf-weighted"):
+                    with pytest.warns(UserWarning, match="'oov' has no in-vocabulary"):
+                        got = aggregate_corpus(docs, tm, vocab, weighting)
+                    want = naive_aggregate(
+                        [d.tokens for d in docs], vocab.terms, tm.dense(), weighting
+                    )
+                    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+                    np.testing.assert_array_equal(got[-1], 0.0)
 
     def test_vocabulary_mismatch_rejected(self):
         corpus = corpus_from_tokens([["a", "b"]])
