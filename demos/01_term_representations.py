@@ -8,7 +8,7 @@ import numpy as np
 from dtrkit import (
     AuthorDoc,
     Corpus,
-    aggregate_documents,
+    aggregate_corpus,
     build_dor,
     build_ssr,
     build_tcor,
@@ -60,8 +60,14 @@ for term in ("linux", "shopping", "the"):
     print(f"  p(subprofile | {term!r}) = {np.round(ssr.row(term), 3)}")
 
 # --- documents become convex combinations of their term vectors -----------
-doc_vec = aggregate_documents(corpus.docs[0], ssr, vocab, weighting="mean")
-print(f"\n{corpus.docs[0].author_id} aggregated over SSR:", np.round(doc_vec, 3))
+# The corpus interns its tokens once: sorted distinct terms, one count row per
+# document.  Every document-side feature is a column selection of it.
+print(f"\n{len(corpus.terms)} distinct tokens, counts matrix {corpus.counts.shape}")
+doc_vecs = aggregate_corpus(corpus, ssr, vocab, weighting="mean")
+print(f"{corpus.docs[0].author_id} aggregated over SSR:", np.round(doc_vecs[0], 3))
+# One document on its own is a one-document corpus.
+alone = aggregate_corpus(corpus.subset([0]), ssr, vocab, weighting="mean")[0]
+print("same row from a one-document subset:", bool(np.allclose(alone, doc_vecs[0])))
 
 # --- matrices round-trip through the textual container --------------------
 save_term_matrix(ssr, "/tmp/ssr_demo.txt", mode="text")

@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import AuthorDoc, Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary
 from .representations import _fmt, _row_l2_normalize, count_matrix
 
 __all__ = [
     "BOW_WEIGHTINGS",
     "SvmModel",
     "compute_idf",
-    "build_bow",
     "build_bow_matrix",
     "train_linear_svm",
     "decision_function",
@@ -34,24 +33,16 @@ __all__ = [
 BOW_WEIGHTINGS = ("tf", "boolean", "tfidf")
 
 
-def compute_idf(train: Corpus | list[AuthorDoc], vocab: Vocabulary) -> np.ndarray:
+def compute_idf(train: Corpus, vocab: Vocabulary) -> np.ndarray:
     """Natural-log inverse document frequency from a training corpus."""
-    docs = train.docs if isinstance(train, Corpus) else list(train)
-    if not docs:
+    if not train.docs:
         raise ValueError("cannot compute idf from an empty corpus")
-    df = count_matrix(docs, vocab).getnnz(axis=0).astype(np.float64)
-    return np.where(df > 0, np.log(len(docs) / np.maximum(df, 1.0)), 0.0)
-
-
-def build_bow(
-    doc: AuthorDoc, vocab: Vocabulary, weighting: str = "tf", idf: np.ndarray | None = None
-) -> np.ndarray:
-    """One document's dense row of :func:`build_bow_matrix`."""
-    return build_bow_matrix([doc], vocab, weighting, idf).toarray()[0]
+    df = count_matrix(train, vocab).getnnz(axis=0).astype(np.float64)
+    return np.where(df > 0, np.log(len(train) / np.maximum(df, 1.0)), 0.0)
 
 
 def build_bow_matrix(
-    docs: list[AuthorDoc],
+    docs: Corpus,
     vocab: Vocabulary,
     weighting: str = "tf",
     idf: np.ndarray | None = None,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, embeddings, evaluation, representations
-from .corpus import load_corpus
+from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
     ClfConfig,
@@ -289,21 +289,23 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_top_terms(args) -> int:
+    if args.count < 0:
+        raise ConfigError("--count must be non-negative")
+    if args.words < 0:
+        raise ConfigError("--words must be non-negative")
+    if args.max_terms < 1:
+        raise ConfigError("--max-terms must be a positive integer")
     corpus = _require_corpus(args)
     if args.task not in corpus.tasks:
         raise ConfigError(
             f"unknown task {args.task!r}; corpus tasks: {sorted(corpus.tasks)}"
         )
-    if args.count < 0:
-        raise ConfigError("--count must be non-negative")
     if args.count == 0:
         return 0
 
-    from .corpus import build_vocabulary
-
     vocab = build_vocabulary(corpus, args.max_terms)
     tm = representations.build_dor(corpus, vocab)
-    doc_vectors = representations.aggregate_corpus(corpus.docs, tm, vocab)
+    doc_vectors = representations.aggregate_corpus(corpus, tm, vocab)
     labels = corpus.labels(args.task)
 
     # Rank the occurrence-profile features (one per author) by how much the
@@ -340,19 +342,22 @@ def _cmd_top_terms(args) -> int:
 
 
 def _cmd_embed_train(args) -> int:
+    try:
+        cfg = embeddings.EmbeddingConfig(
+            dim=args.dim,
+            window=args.window,
+            negatives=args.negatives,
+            epochs=args.epochs,
+            initial_lr=args.lr,
+            min_count=args.min_count,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad embedding config: {exc}") from exc
+    if args.max_terms < 1:
+        raise ConfigError("--max-terms must be a positive integer")
     corpus = _require_corpus(args)
-    from .corpus import build_vocabulary
-
     vocab = build_vocabulary(corpus, args.max_terms)
-    cfg = embeddings.EmbeddingConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        initial_lr=args.lr,
-        min_count=args.min_count,
-        seed=args.seed,
-    )
     tm = embeddings.train_skipgram(corpus, vocab, cfg)
     embeddings.save_embeddings(tm, args.out)
     objective = tm.meta["objective"]

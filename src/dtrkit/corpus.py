@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
 __all__ = [
     "AuthorDoc",
     "Corpus",
@@ -122,8 +125,36 @@ class Corpus:
                 return doc
         raise KeyError(f"unknown author {author_id!r}")
 
+    @cached_property
+    def terms(self) -> list[str]:
+        """Sorted distinct tokens of the documents: the columns of :attr:`counts`."""
+        return sorted(set().union(*(doc.counts for doc in self.docs)))
+
+    @cached_property
+    def counts(self) -> sp.csr_matrix:
+        """Float64 CSR docs x :attr:`terms` counts: the one place a token
+        string becomes a column; every document-side statistic slices it."""
+        column = {term: j for j, term in enumerate(self.terms)}
+        indices = [column[term] for doc in self.docs for term in doc.counts]
+        data = [count for doc in self.docs for count in doc.counts.values()]
+        indptr = np.cumsum([0] + [len(doc.counts) for doc in self.docs])
+        mat = sp.csr_matrix(
+            (np.asarray(data, dtype=np.float64), indices, indptr),
+            shape=(len(self.docs), len(self.terms)),
+        )
+        mat.sort_indices()
+        return mat
+
     def subset(self, indices) -> "Corpus":
-        return Corpus([self.docs[i] for i in indices], self.tasks)
+        """The documents at ``indices``; their count rows are sliced from this
+        corpus and emptied columns dropped, so ``terms`` stays their own."""
+        indices = list(indices)
+        child = Corpus([self.docs[i] for i in indices], self.tasks)
+        rows = self.counts[indices]
+        keep = np.flatnonzero(rows.getnnz(axis=0))
+        child.terms = [self.terms[j] for j in keep]
+        child.counts = rows[:, keep]
+        return child
 
 
 def load_corpus(path, format: str = "jsonl") -> Corpus:
@@ -240,11 +271,9 @@ def build_vocabulary(corpus: Corpus, max_terms: int | None = 10_000) -> Vocabula
         raise ValueError("cannot build a vocabulary from an empty corpus")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be a positive integer")
-    totals: Counter = Counter()
-    for doc in corpus.docs:
-        totals.update(doc.counts)
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    if max_terms is not None:
-        ranked = ranked[:max_terms]
-    terms = [term for term, _ in ranked]
-    return Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, freq=dict(ranked))
+    totals = np.asarray(corpus.counts.sum(axis=0)).ravel()
+    # corpus.terms is sorted, so a stable sort on -frequency breaks ties by term.
+    ranked = np.argsort(-totals, kind="stable")[:max_terms]
+    terms = [corpus.terms[j] for j in ranked]
+    freq = {t: int(totals[j]) for t, j in zip(terms, ranked)}
+    return Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, freq=freq)

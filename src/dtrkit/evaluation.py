@@ -219,15 +219,15 @@ def _build_term_matrix(train: Corpus, task: str, vocab: Vocabulary, rep: RepConf
     raise ValueError(f"unknown representation kind {rep.kind!r}")
 
 
-def _fold_features(train, test_docs, task, vocab, rep, clf, fold_seed):
+def _fold_features(train, test, task, vocab, rep, clf, fold_seed):
     if rep.kind == "bow":
         idf = classifier.compute_idf(train, vocab) if clf.bow_weighting == "tfidf" else None
-        x_train = classifier.build_bow_matrix(train.docs, vocab, clf.bow_weighting, idf)
-        x_test = classifier.build_bow_matrix(test_docs, vocab, clf.bow_weighting, idf)
+        x_train = classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf)
+        x_test = classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf)
         return x_train, x_test, None
     tm = _build_term_matrix(train, task, vocab, rep, fold_seed)
-    x_train = representations.aggregate_corpus(train.docs, tm, vocab, rep.weighting)
-    x_test = representations.aggregate_corpus(test_docs, tm, vocab, rep.weighting)
+    x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
+    x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
     return x_train, x_test, tm
 
 
@@ -257,10 +257,10 @@ def cross_validate(
         test_set = set(test_idx)
         train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
         train = corpus.subset(train_idx)
-        test_docs = [corpus.docs[i] for i in test_idx]
+        test = corpus.subset(test_idx)
         fold_seed = _fold_seed(seed, fold_idx)
         vocab = build_vocabulary(train, rep.max_terms)
-        x_train, x_test, tm = _fold_features(train, test_docs, task, vocab, rep, clf, fold_seed)
+        x_train, x_test, tm = _fold_features(train, test, task, vocab, rep, clf, fold_seed)
         model = classifier.train_linear_svm(
             x_train,
             [d.labels[task] for d in train.docs],
@@ -269,11 +269,11 @@ def cross_validate(
             standardize=clf.standardize,
         )
         preds = classifier.predict(model, x_test)
-        acc = accuracy(preds, [d.labels[task] for d in test_docs])
+        acc = accuracy(preds, test.labels(task))
         results.append(
             FoldResult(
                 fold=fold_idx,
-                predictions={d.author_id: p for d, p in zip(test_docs, preds)},
+                predictions={d.author_id: p for d, p in zip(test.docs, preds)},
                 accuracy=acc,
                 rep_dims=int(x_train.shape[1]),
             )
@@ -437,20 +437,15 @@ def collection_stats(corpus: Corpus, task: str, stopwords=None) -> CollectionSta
         raise ValueError("corpus is empty")
     stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
 
-    total = 0
-    content = 0
-    distinct: set[str] = set()
-    for doc in corpus.docs:
-        total += len(doc.tokens)
-        distinct.update(doc.counts.keys())
-        for term, count in doc.counts.items():
-            if term not in stop and not _is_punct_token(term):
-                content += count
-
-    ttr = len(distinct) / total if total else 0.0
+    freq = np.asarray(corpus.counts.sum(axis=0)).ravel()
+    total = int(freq.sum())
+    content = int(
+        sum(f for t, f in zip(corpus.terms, freq) if t not in stop and not _is_punct_token(t))
+    )
+    ttr = len(corpus.terms) / total if total else 0.0
     ld = content / total if total else 0.0
-    if distinct:
-        lengths = np.array([len(t) for t in sorted(distinct)], dtype=np.float64)
+    if corpus.terms:
+        lengths = np.array([len(t) for t in corpus.terms], dtype=np.float64)
         sx = float((lengths > lengths.mean() + lengths.std()).mean())
     else:
         sx = 0.0
@@ -541,17 +536,15 @@ def top_terms_tfidf(corpus: Corpus, author_id: str, n: int = 10, stopwords=None)
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    doc = corpus.get(author_id)
+    row = corpus.counts[corpus.docs.index(corpus.get(author_id))]
     stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
-    df: Counter = Counter()
-    for other in corpus.docs:
-        df.update(other.counts.keys())
-    n_docs = len(corpus.docs)
+    df = corpus.counts.getnnz(axis=0)
     scored = []
-    for term, count in doc.counts.items():
+    for j, count in zip(row.indices, row.data):
+        term = corpus.terms[j]
         if term in stop or _is_punct_token(term):
             continue
-        scored.append((term, count * math.log(n_docs / df[term])))
+        scored.append((term, float(count * math.log(len(corpus) / df[j]))))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:n]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import AuthorDoc, Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -26,7 +26,6 @@ __all__ = [
     "build_tcor",
     "cluster_subprofiles",
     "build_ssr",
-    "aggregate_documents",
     "aggregate_corpus",
     "save_term_matrix",
     "load_term_matrix",
@@ -100,25 +99,17 @@ class SubprofileAssignment:
         return len(self.subclass_labels)
 
 
-def count_matrix(docs: list[AuthorDoc], vocab: Vocabulary) -> sp.csr_matrix:
-    """Sparse ``(len(docs), len(vocab))`` matrix of raw in-vocabulary token counts."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for doc in docs:
-        for term, count in doc.counts.items():
-            j = vocab.index.get(term)
-            if j is not None:
-                indices.append(j)
-                data.append(float(count))
-        indptr.append(len(indices))
+def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
+    """Sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
+
+    The columns of ``corpus.counts`` whose terms are in ``vocab`` (which may
+    come from any corpus), relabelled with vocabulary ids.
+    """
+    ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
+    present = np.flatnonzero(ids >= 0)
+    sel = corpus.counts[:, present]
     mat = sp.csr_matrix(
-        (
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-        ),
-        shape=(len(docs), len(vocab)),
+        (sel.data, ids[present][sel.indices], sel.indptr), shape=(len(corpus), len(vocab))
     )
     mat.sort_indices()
     return mat
@@ -149,7 +140,7 @@ def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMat
     vocabulary terms yields an all-zero column and a warning.
     """
     _require_nonempty(train, vocab)
-    counts = count_matrix(train.docs, vocab)
+    counts = count_matrix(train, vocab)
     n_terms = len(vocab)
     distinct = counts.getnnz(axis=1).astype(np.float64)
     empty = np.flatnonzero(distinct == 0)
@@ -187,7 +178,7 @@ def build_tcor(
     if idf_mode not in TCOR_IDF_MODES:
         raise ValueError(f"idf_mode must be one of {TCOR_IDF_MODES}, got {idf_mode!r}")
     _require_nonempty(train, vocab)
-    binary = count_matrix(train.docs, vocab)
+    binary = count_matrix(train, vocab)
     binary.data = np.ones_like(binary.data)
     # Nearly every pair of terms shares some document, so the matrix is
     # stored dense: CSR would take more memory than the dense array.
@@ -323,7 +314,7 @@ def cluster_subprofiles(
     if k_per_class < 1:
         raise ValueError("k_per_class must be a positive integer")
     _require_nonempty(train, vocab)
-    X = _row_l2_normalize(count_matrix(train.docs, vocab))
+    X = _row_l2_normalize(count_matrix(train, vocab))
     rng = np.random.default_rng(seed % (2**63))
     mapping: dict[str, int] = {}
     labels: list[str] = []
@@ -350,7 +341,7 @@ def _raw_subclass_weights(
             raise ValueError(f"assignment does not cover author {doc.author_id!r}")
         rows.append(i)
         cols.append(sub)
-    counts = count_matrix(train.docs, vocab)
+    counts = count_matrix(train, vocab)
     lengths = np.array([max(len(doc.tokens), 1) for doc in train.docs], dtype=np.float64)
     scaled = (sp.diags(1.0 / lengths) @ counts).tocsr()
     scaled.data = np.log2(1.0 + scaled.data)
@@ -399,7 +390,7 @@ def build_ssr(
 
 
 def aggregate_corpus(
-    docs: list[AuthorDoc], tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
+    docs: Corpus, tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
 ) -> np.ndarray:
     """Convex combination of each document's term vectors, one row per document.
 
@@ -417,17 +408,11 @@ def aggregate_corpus(
         weights.data = 1.0 + np.log(weights.data)
     totals = np.asarray(weights.sum(axis=1)).ravel()
     for i in np.flatnonzero(totals == 0):
-        warnings.warn(f"document {docs[i].author_id!r} has no in-vocabulary tokens; zero vector")
+        author = docs.docs[i].author_id
+        warnings.warn(f"document {author!r} has no in-vocabulary tokens; zero vector")
     weights.data /= np.repeat(totals, np.diff(weights.indptr))
     out = weights @ tm.matrix
     return out.toarray() if sp.issparse(out) else out
-
-
-def aggregate_documents(
-    doc: AuthorDoc, tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
-) -> np.ndarray:
-    """One document's row of :func:`aggregate_corpus`."""
-    return aggregate_corpus([doc], tm, vocab, weighting)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ import numpy as np
 from scipy.stats import rankdata
 
 
+def naive_counts(doc_tokens: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct tokens and the dense document x term count table."""
+    terms = sorted({token for tokens in doc_tokens for token in tokens})
+    out = np.zeros((len(doc_tokens), len(terms)))
+    for d, tokens in enumerate(doc_tokens):
+        for token in tokens:
+            out[d, terms.index(token)] += 1
+    return terms, out
+
+
 def naive_dor(doc_tokens: list[list[str]], vocab_terms: list[str]) -> np.ndarray:
     """Double-loop document-occurrence weights over explicit token lists."""
     n_terms = len(vocab_terms)

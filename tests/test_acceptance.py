@@ -29,7 +29,7 @@ from dtrkit.representations import (
     SubprofileAssignment,
     TermMatrix,
     _normalize_ssr,
-    aggregate_documents,
+    aggregate_corpus,
     build_dor,
     build_ssr,
     build_tcor,
@@ -144,7 +144,7 @@ def test_aggregation_convex_combination():
         vocab = build_vocabulary(corpus)
         rows = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 4.0]], dtype=float)
         tm = TermMatrix("EMBEDDING", list(vocab.terms), rows)
-        got = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
+        got = aggregate_corpus(corpus.subset([0]), tm, vocab, "mean")[0]
         want = (
             0.5 * rows[vocab.index["a"]]
             + 0.25 * rows[vocab.index["b"]]
@@ -162,8 +162,8 @@ def test_aggregation_convex_combination():
             tm = TermMatrix(
                 "EMBEDDING", list(vocab.terms), rng.normal(size=(len(vocab), 4))
             )
-            first = aggregate_documents(pair.docs[0], tm, vocab, "mean")
-            second = aggregate_documents(pair.docs[1], tm, vocab, "mean")
+            first = aggregate_corpus(pair.subset([0]), tm, vocab, "mean")[0]
+            second = aggregate_corpus(pair.subset([1]), tm, vocab, "mean")[0]
             np.testing.assert_allclose(first, second, atol=1e-12, rtol=0)
 
 

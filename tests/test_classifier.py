@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from dtrkit.classifier import (
     SvmModel,
-    build_bow,
     build_bow_matrix,
     compute_idf,
     decision_function,
@@ -39,41 +38,45 @@ class TestBuildBow:
         self.vocab = build_vocabulary(self.corpus)
 
     def test_tf(self):
-        vec = build_bow(self.corpus.docs[0], self.vocab, "tf")
+        vec = build_bow_matrix(self.corpus.subset([0]), self.vocab, "tf").toarray()[0]
         assert vec[self.vocab.index["a"]] == 2.0
         assert vec[self.vocab.index["c"]] == 1.0
         assert vec[self.vocab.index["d"]] == 0.0
 
     def test_boolean(self):
-        vec = build_bow(self.corpus.docs[0], self.vocab, "boolean")
+        vec = build_bow_matrix(self.corpus.subset([0]), self.vocab, "boolean").toarray()[0]
         got = {t: vec[self.vocab.index[t]] for t in ("a", "c", "d")}
         assert got == {"a": 1.0, "c": 1.0, "d": 0.0}
 
     def test_tfidf_worked_example(self):
         idf = compute_idf(self.corpus, self.vocab)
-        vec = build_bow(self.corpus.docs[0], self.vocab, "tfidf", idf)
+        vec = build_bow_matrix(self.corpus.subset([0]), self.vocab, "tfidf", idf).toarray()[0]
         assert vec[self.vocab.index["c"]] == 0.0  # appears in every document
         assert vec[self.vocab.index["a"]] == pytest.approx(1.0)
 
     def test_tfidf_requires_idf(self):
         with pytest.raises(ValueError, match="idf"):
-            build_bow(self.corpus.docs[0], self.vocab, "tfidf")
+            build_bow_matrix(self.corpus.subset([0]), self.vocab, "tfidf")
 
     def test_matrix_matches_per_doc(self, rng):
         for weighting in ("tf", "boolean", "tfidf"):
             corpus = corpus_from_tokens(random_token_lists(rng, max_docs=5))
             vocab = build_vocabulary(corpus)
             idf = compute_idf(corpus, vocab) if weighting == "tfidf" else None
-            mat = build_bow_matrix(corpus.docs, vocab, weighting, idf).toarray()
+            mat = build_bow_matrix(corpus, vocab, weighting, idf).toarray()
             rows = np.vstack(
-                [build_bow(d, vocab, weighting, idf) for d in corpus.docs]
+                [
+                    build_bow_matrix(corpus.subset([i]), vocab, weighting, idf).toarray()[0]
+                    for i in range(len(corpus))
+                ]
             )
             np.testing.assert_allclose(mat, rows, atol=1e-12)
 
     def test_empty_doc_is_zero_vector(self):
         corpus = corpus_from_tokens([["a"], ["zz"]])
         vocab = build_vocabulary(corpus, max_terms=1)
-        np.testing.assert_array_equal(build_bow(corpus.docs[1], vocab, "tf"), [0.0])
+        vec = build_bow_matrix(corpus.subset([1]), vocab, "tf").toarray()[0]
+        np.testing.assert_array_equal(vec, [0.0])
 
 
 class TestTrainLinearSvm:
@@ -117,7 +120,7 @@ class TestTrainLinearSvm:
             task="topic",
         )
         vocab = build_vocabulary(corpus)
-        X = aggregate_corpus(corpus.docs, build_dor(corpus, vocab), vocab)
+        X = aggregate_corpus(corpus, build_dor(corpus, vocab), vocab)
         with pytest.warns(RuntimeWarning, match="unconverged after 20 epochs"):
             model = train_linear_svm(X, corpus.labels("topic"), C=1000.0, max_epochs=20)
         (run,) = model.meta["runs"]

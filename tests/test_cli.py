@@ -221,6 +221,17 @@ class TestTopTerms:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--words", "-1"], ["--max-terms", "0"], ["--count", "-1"]]
+    )
+    def test_bad_numeric_flag_exits_2_before_loading(self, tmp_path, flags, capsys):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        code = main(["top-terms", "--corpus", str(bad), "--task", "topic", *flags])
+        assert code == 2
+        assert flags[0] in capsys.readouterr().err
+
 
 class TestEmbedCommands:
     def test_train_then_neighbors(self, tmp_path, synthetic_jsonl, capsys):
@@ -236,6 +247,16 @@ class TestEmbedCommands:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("flags", [["--dim", "0"], ["--max-terms", "0"]])
+    def test_bad_config_flag_exits_2(self, tmp_path, synthetic_jsonl, flags):
+        vectors = tmp_path / "vectors.txt"
+        code = main(
+            ["embed-train", "--corpus", str(synthetic_jsonl), "--out", str(vectors),
+             "--seed", "3", *flags]
+        )
+        assert code == 2
+        assert not vectors.exists()
 
     def test_unknown_term_exits_2(self, tmp_path):
         vectors = tmp_path / "v.txt"

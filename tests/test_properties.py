@@ -1,0 +1,88 @@
+"""Property tests for the corpus count matrix and everything read from it."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
+from dtrkit.representations import count_matrix
+
+from oracles import naive_counts
+
+# Few characters, so tokens often sort between one another ("a" < "a'" <
+# "ab" < "b"); symbol runs and an emoji stand in for non-word tokens.
+TOKENS = st.text(alphabet="ab'€:)+\U0001F600", min_size=1, max_size=3)
+
+
+@st.composite
+def corpora(draw):
+    """Token lists (empty documents included) plus a non-empty row subset."""
+    token_lists = draw(st.lists(st.lists(TOKENS, max_size=12), min_size=1, max_size=8))
+    idx = draw(st.permutations(range(len(token_lists))))
+    idx = idx[: draw(st.integers(1, len(token_lists)))]
+    max_terms = draw(st.none() | st.integers(1, 6))
+    return token_lists, idx, max_terms
+
+
+def corpus_of(token_lists, rows=None):
+    rows = range(len(token_lists)) if rows is None else rows
+    docs = [
+        AuthorDoc(f"d{i}", " ".join(token_lists[i]), list(token_lists[i]), {"cat": "x"})
+        for i in rows
+    ]
+    return Corpus(docs, frozenset({"cat"}))
+
+
+def same_vocabulary(a, b) -> None:
+    assert a.terms == b.terms
+    assert a.index == b.index
+    assert a.freq == b.freq
+
+
+@settings(deadline=None)
+@given(corpora())
+def test_counts_match_naive_table(case):
+    token_lists, _, _ = case
+    corpus = corpus_of(token_lists)
+    terms, table = naive_counts(token_lists)
+    assert corpus.terms == terms
+    assert corpus.counts.dtype == np.float64
+    np.testing.assert_array_equal(corpus.counts.toarray(), table)
+
+
+@settings(deadline=None)
+@given(corpora())
+def test_subset_equals_fresh_corpus(case):
+    token_lists, idx, max_terms = case
+    full = corpus_of(token_lists)
+    sub = full.subset(idx)
+    fresh = corpus_of(token_lists, idx)
+    assert sub.terms == fresh.terms
+    np.testing.assert_array_equal(sub.counts.toarray(), fresh.counts.toarray())
+
+    vocab = build_vocabulary(sub, max_terms)
+    same_vocabulary(vocab, build_vocabulary(fresh, max_terms))
+    # A vocabulary of the subset and one of the whole corpus, which holds
+    # terms the subset lacks.
+    for v in (vocab, build_vocabulary(full, max_terms)):
+        got = count_matrix(sub, v).toarray()
+        np.testing.assert_array_equal(got, count_matrix(fresh, v).toarray())
+        terms, table = naive_counts([token_lists[i] for i in idx])
+        want = np.zeros((len(idx), len(v)))
+        for j, term in enumerate(terms):
+            if term in v.index:
+                want[:, v.index[term]] = table[:, j]
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(deadline=None)
+@given(corpora())
+def test_vocabulary_ranks_by_frequency_then_term(case):
+    token_lists, _, max_terms = case
+    vocab = build_vocabulary(corpus_of(token_lists), max_terms)
+    terms, table = naive_counts(token_lists)
+    freq = dict(zip(terms, table.sum(axis=0).astype(int).tolist()))
+    ranked = sorted(terms, key=lambda t: (-freq[t], t))
+    assert vocab.terms == ranked[:max_terms]
+    assert vocab.freq == {t: freq[t] for t in vocab.terms}
+    assert vocab.index == {t: i for i, t in enumerate(vocab.terms)}

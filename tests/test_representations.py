@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dtrkit.corpus import AuthorDoc, build_vocabulary
+from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.representations import (
     SubprofileAssignment,
     TermMatrix,
     _normalize_ssr,
     _raw_subclass_weights,
     aggregate_corpus,
-    aggregate_documents,
     build_dor,
     build_ssr,
     build_tcor,
@@ -128,7 +127,7 @@ class TestBuildTcor:
         for _ in range(10):
             corpus = corpus_from_tokens(random_token_lists(rng))
             vocab = vocab_of(corpus)
-            counts = count_matrix(corpus.docs, vocab)
+            counts = count_matrix(corpus, vocab)
             binary = counts.copy()
             binary.data = np.ones_like(binary.data)
             co = (binary.T @ binary).toarray()
@@ -306,14 +305,14 @@ class TestAggregate:
         corpus = corpus_from_tokens([["a", "b"]])
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0, 0.0], [0.0, 1.0]])
-        out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
+        out = aggregate_corpus(corpus.subset([0]), tm, vocab, "mean")[0]
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_weighted_mean(self):
         corpus = corpus_from_tokens([["a", "a", "a", "b"]])
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0, 0.0], [0.0, 1.0]])
-        out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
+        out = aggregate_corpus(corpus.subset([0]), tm, vocab, "mean")[0]
         np.testing.assert_allclose(out, [0.75, 0.25])
 
     def test_all_tokens_out_of_vocabulary(self):
@@ -321,7 +320,7 @@ class TestAggregate:
         vocab = build_vocabulary(corpus, max_terms=2)
         tm = self.make_matrix(vocab, [[1.0], [2.0]])
         with pytest.warns(UserWarning, match="doc001"):
-            out = aggregate_documents(corpus.docs[1], tm, vocab)
+            out = aggregate_corpus(corpus.subset([1]), tm, vocab)[0]
         np.testing.assert_array_equal(out, [0.0])
 
     def test_token_order_invariance(self, rng):
@@ -333,8 +332,8 @@ class TestAggregate:
             vocab = vocab_of(corpus)
             tm = self.make_matrix(vocab, rng.normal(size=(len(vocab), 3)))
             for weighting in ("mean", "tf-weighted"):
-                first = aggregate_documents(corpus.docs[0], tm, vocab, weighting)
-                second = aggregate_documents(corpus.docs[1], tm, vocab, weighting)
+                first = aggregate_corpus(corpus.subset([0]), tm, vocab, weighting)[0]
+                second = aggregate_corpus(corpus.subset([1]), tm, vocab, weighting)[0]
                 np.testing.assert_allclose(first, second, atol=1e-12)
 
     def test_result_in_convex_hull(self, rng):
@@ -342,7 +341,7 @@ class TestAggregate:
         vocab = vocab_of(corpus)
         rows = rng.normal(size=(3, 4))
         tm = self.make_matrix(vocab, rows)
-        out = aggregate_documents(corpus.docs[0], tm, vocab, "mean")
+        out = aggregate_corpus(corpus.subset([0]), tm, vocab, "mean")[0]
         assert (out <= rows.max(axis=0) + 1e-12).all()
         assert (out >= rows.min(axis=0) - 1e-12).all()
 
@@ -350,7 +349,7 @@ class TestAggregate:
         corpus = corpus_from_tokens([["a", "a", "a", "b"]])
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0, 0.0], [0.0, 1.0]])
-        out = aggregate_documents(corpus.docs[0], tm, vocab, "tf-weighted")
+        out = aggregate_corpus(corpus.subset([0]), tm, vocab, "tf-weighted")[0]
         wa, wb = 1.0 + math.log(3.0), 1.0
         np.testing.assert_allclose(
             out, [wa / (wa + wb), wb / (wa + wb)], atol=1e-12
@@ -363,8 +362,8 @@ class TestAggregate:
         tm_dense = TermMatrix(
             "DOR", tm_sparse.terms, tm_sparse.dense(), tm_sparse.feature_names
         )
-        got_sparse = aggregate_corpus(corpus.docs, tm_sparse, vocab)
-        got_dense = aggregate_corpus(corpus.docs, tm_dense, vocab)
+        got_sparse = aggregate_corpus(corpus, tm_sparse, vocab)
+        got_dense = aggregate_corpus(corpus, tm_dense, vocab)
         np.testing.assert_allclose(got_sparse, got_dense, atol=1e-12)
 
     def test_matches_naive_loop_for_every_term_matrix_kind(self, rng):
@@ -382,13 +381,14 @@ class TestAggregate:
             ]
             assert sp.issparse(matrices[0].matrix)
             assert isinstance(matrices[1].matrix, np.ndarray)
-            docs = corpus.docs + [AuthorDoc.from_text("oov", "zzz qqq", {"cat": "x"})]
+            oov = AuthorDoc.from_text("oov", "zzz qqq", {"cat": "x"})
+            docs = Corpus(corpus.docs + [oov], corpus.tasks)
             for tm in matrices:
                 for weighting in ("mean", "tf-weighted"):
                     with pytest.warns(UserWarning, match="'oov' has no in-vocabulary"):
                         got = aggregate_corpus(docs, tm, vocab, weighting)
                     want = naive_aggregate(
-                        [d.tokens for d in docs], vocab.terms, tm.dense(), weighting
+                        [d.tokens for d in docs.docs], vocab.terms, tm.dense(), weighting
                     )
                     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
                     np.testing.assert_array_equal(got[-1], 0.0)
@@ -400,14 +400,14 @@ class TestAggregate:
         other = corpus_from_tokens([["q", "r"]])
         other_vocab = vocab_of(other)
         with pytest.raises(ValueError, match="vocabulary"):
-            aggregate_documents(corpus.docs[0], tm, other_vocab)
+            aggregate_corpus(corpus.subset([0]), tm, other_vocab)
 
     def test_unknown_weighting(self):
         corpus = corpus_from_tokens([["a"]])
         vocab = vocab_of(corpus)
         tm = self.make_matrix(vocab, [[1.0]])
         with pytest.raises(ValueError, match="weighting"):
-            aggregate_documents(corpus.docs[0], tm, vocab, "max")
+            aggregate_corpus(corpus.subset([0]), tm, vocab, "max")
 
 
 class TestSerialization:
