@@ -193,7 +193,7 @@ def _cmd_run(args) -> int:
     alpha = float(cfg["evaluation"]["alpha"])
     try:
         clf = ClfConfig(**cfg["classifier"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad classifier config: {exc}") from exc
     reps = [_rep_from_spec(spec) for spec in cfg["representations"]]
     rep_ids = [rep.id for rep in reps]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -80,6 +81,18 @@ class ClfConfig:
     C: float = 1.0
     bow_weighting: str = "tf"
     standardize: bool = False  # per-dimension training-fold standardization
+
+    def __post_init__(self) -> None:
+        real = isinstance(self.C, numbers.Real) and not isinstance(self.C, bool)
+        if not (real and self.C > 0 and math.isfinite(self.C)):
+            raise ValueError(f"C must be a finite positive number, got {self.C!r}")
+        if self.bow_weighting not in classifier.BOW_WEIGHTINGS:
+            raise ValueError(
+                f"bow_weighting must be one of {classifier.BOW_WEIGHTINGS}, "
+                f"got {self.bow_weighting!r}"
+            )
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
 
 
 # ---------------------------------------------------------------------------

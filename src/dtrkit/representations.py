@@ -219,7 +219,12 @@ def _sq_distances(X: sp.csr_matrix, centers: np.ndarray, x_sq: np.ndarray) -> np
 
 
 def _dense_row(X: sp.csr_matrix, i: int) -> np.ndarray:
-    return np.asarray(X[i].todense(), dtype=np.float64).ravel()
+    # Copied from the CSR arrays, which hold no duplicate entries here;
+    # the scipy row slice X[i] costs about 20x more per call.
+    row = np.zeros(X.shape[1])
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    row[X.indices[lo:hi]] = X.data[lo:hi]
+    return row
 
 
 def _kmeanspp_init(X, k, rng, x_sq) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from dtrkit.representations import aggregate_corpus, build_dor
 from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens, random_token_lists
+from oracles import naive_dual_cd
 
 
 def separable_set(rng, n=200, margin=0.5, dim=2):
@@ -171,6 +174,100 @@ class TestTrainLinearSvm:
     def test_bad_C_rejected(self):
         with pytest.raises(ValueError, match="C"):
             train_linear_svm(np.zeros((2, 1)), ["a", "b"], C=0.0)
+
+    @pytest.mark.parametrize("C", [float("nan"), float("inf")])
+    def test_non_finite_C_rejected(self, C):
+        with pytest.raises(ValueError, match="C must be"):
+            train_linear_svm(np.array([[0.0], [1.0]]), ["a", "b"], C=C)
+
+    def test_max_epochs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_epochs"):
+            train_linear_svm(np.array([[0.0], [1.0]]), ["a", "b"], max_epochs=0)
+
+
+def dor_features(n_categories, seed=3):
+    corpus = make_synthetic_corpus(
+        n_categories=n_categories,
+        authors_per_category=20,
+        exclusive_terms=20,
+        shared_terms=100,
+        tokens_per_doc=60,
+        topical_fraction=0.05,
+        seed=seed,
+        task="topic",
+    )
+    vocab = build_vocabulary(corpus)
+    return aggregate_corpus(corpus, build_dor(corpus, vocab), vocab), corpus.labels("topic")
+
+
+def dense_case(rng):
+    X = rng.normal(size=(60, 5))
+    return X, ["a" if v > 0 else "b" for v in rng.normal(size=60)], {"C": 1.0}
+
+
+def sparse_multiclass_case(rng):
+    X = sp.random(90, 40, density=0.15, format="csr", random_state=rng)
+    return X, [["a", "b", "c"][int(k)] for k in rng.integers(0, 3, 90)], {"C": 2.0, "seed": 5}
+
+
+def standardized_multiclass_case(rng):
+    centers = np.array([[0.0, 6.0], [6.0, -6.0], [-6.0, -6.0]])
+    X = np.vstack([rng.normal(size=(30, 2)) * 0.4 + c for c in centers])
+    X = X * np.array([100.0, 0.01]) + np.array([50.0, -3.0])
+    return X, ["a"] * 30 + ["b"] * 30 + ["c"] * 30, {"C": 10.0, "seed": 2, "standardize": True}
+
+
+def dor_case(rng):
+    X, y = dor_features(3)
+    return X, y, {"C": 1.0, "seed": 7}
+
+
+def unconverged_case(rng):
+    X, y = dor_features(2)
+    return X, y, {"C": 1000.0, "max_epochs": 20}
+
+
+class TestSolverOracle:
+    """``train_linear_svm`` against the per-row primal loop of ``oracles``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dense_case,
+            sparse_multiclass_case,
+            standardized_multiclass_case,
+            dor_case,
+            unconverged_case,
+        ],
+    )
+    def test_matches_naive_dual_cd(self, rng, case):
+        X, y, kwargs = case(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = train_linear_svm(X, y, **kwargs)
+        dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+        if model.feature_mean is not None:
+            dense = (dense - model.feature_mean) / model.feature_scale
+        aug = sp.hstack([sp.csr_matrix(dense), np.ones((len(y), 1))], format="csr")
+        machines = model.categories[:1] if len(model.categories) == 2 else model.categories
+        children = np.random.SeedSequence(kwargs.get("seed", 0)).spawn(len(machines))
+        assert len(model.meta["runs"]) == len(machines)
+        for m, (cat, child, run) in enumerate(zip(machines, children, model.meta["runs"])):
+            ybin = np.where(np.array(y) == cat, 1.0, -1.0)
+            w, want = naive_dual_cd(
+                aug,
+                ybin,
+                kwargs["C"],
+                np.random.default_rng(child),
+                tol=0.1,
+                max_epochs=kwargs.get("max_epochs", 1000),
+            )
+            assert run["epochs"] == want["epochs"]
+            assert run["converged"] is want["converged"]
+            np.testing.assert_allclose(run["dual_objective"], want["dual_objective"], rtol=1e-9)
+            assert np.linalg.norm(model.weights[m] - w) <= 1e-9 * np.linalg.norm(w)
+        if case is unconverged_case:
+            assert model.meta["runs"][0]["converged"] is False
 
 
 class TestPredict:

@@ -94,6 +94,26 @@ class TestRun:
         )
         assert main(["run", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "classifier",
+        [
+            {"C": float("nan")},
+            {"C": float("inf")},
+            {"C": 0},
+            {"C": "1"},
+            {"C": True},
+            {"bow_weighting": "bm25"},
+            {"standardize": "no"},
+        ],
+    )
+    def test_bad_classifier_config_exits_2_before_loading(self, tmp_path, classifier, capsys):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        config, _ = write_config(tmp_path, bad, classifier=classifier)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "classifier" in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}
