@@ -72,4 +72,4 @@ print("same row from a one-document subset:", bool(np.allclose(alone, doc_vecs[0
 # --- matrices round-trip through the textual container --------------------
 save_term_matrix(ssr, "/tmp/ssr_demo.txt", mode="text")
 back = load_term_matrix("/tmp/ssr_demo.txt")
-print("round-trip exact:", bool((back.dense() == ssr.dense()).all()))
+print("round-trip exact:", bool((back.matrix == ssr.matrix).all()))

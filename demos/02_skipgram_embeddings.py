@@ -42,4 +42,4 @@ print(f"mean cosine to other-category topical words: {np.mean(other):+.3f}")
 save_embeddings(tm, "/tmp/demo_vectors.txt")
 back = load_embeddings("/tmp/demo_vectors.txt", vocab)
 print("\nreload coverage:", back.meta["coverage"], "| exact:",
-      bool((back.dense() == tm.dense()).all()))
+      bool((back.matrix == tm.matrix).all()))

@@ -279,8 +279,9 @@ def load_svm_model(path) -> SvmModel:
     pos = 6
     feature_mean = feature_scale = None
     if standardized:
-        feature_mean = np.array([float(v) for v in lines[pos].split(" ")])
-        feature_scale = np.array([float(v) for v in lines[pos + 1].split(" ")])
+        # split() reads the empty lines of a zero-feature model as no values.
+        feature_mean = np.array([float(v) for v in lines[pos].split()])
+        feature_scale = np.array([float(v) for v in lines[pos + 1].split()])
         pos += 2
     rows = [np.array([float(v) for v in line.split(" ")]) for line in lines[pos:] if line]
     expected = 1 if len(categories) == 2 else len(categories)

@@ -91,8 +91,8 @@ class Corpus:
         self.tasks = frozenset(self.tasks)
         seen: set[str] = set()
         for doc in self.docs:
-            if not doc.author_id or "\n" in doc.author_id or "\r" in doc.author_id:
-                # Text containers write one id per line.
+            if doc.author_id.splitlines() != [doc.author_id]:
+                # Text containers write one id per line; this also rejects "".
                 raise ValueError(f"author_id {doc.author_id!r} must be non-empty and single-line")
             if doc.author_id in seen:
                 raise ValueError(f"duplicate author_id {doc.author_id!r}")

@@ -143,10 +143,9 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
 def save_embeddings(tm: TermMatrix, path) -> None:
     """Write vectors in the textual word2vec format: 'count dim' header, then
     one line per term (token followed by the vector values)."""
-    dense = tm.dense()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dense.shape[0]} {dense.shape[1]}\n")
-        for term, row in zip(tm.terms, dense):
+        fh.write(f"{len(tm.terms)} {tm.dims}\n")
+        for term, row in zip(tm.terms, tm.matrix):
             fh.write(term + " " + " ".join(_fmt(v) for v in row) + "\n")
 
 
@@ -214,12 +213,11 @@ def nearest_neighbors(tm: TermMatrix, term: str, k: int) -> list[tuple[str, floa
     if k < 1:
         raise ValueError("k must be a positive integer")
     i = tm.index_of(term)
-    dense = tm.dense()
-    query = dense[i]
-    norms = np.linalg.norm(dense, axis=1)
+    query = tm.matrix[i]
+    norms = np.linalg.norm(tm.matrix, axis=1)
     denom = norms * np.linalg.norm(query)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0, dense @ query / np.maximum(denom, 1e-300), 0.0)
+        sims = np.where(denom > 0, tm.matrix @ query / np.maximum(denom, 1e-300), 0.0)
     order = sorted(
         (j for j in range(len(tm.terms)) if j != i),
         key=lambda j: (-sims[j], tm.terms[j]),

@@ -52,6 +52,10 @@ CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
+
+
 @dataclass
 class RepConfig:
     """Representation to build per fold, with its knobs."""
@@ -70,6 +74,20 @@ class RepConfig:
             raise ValueError(f"representation kind must be one of {REP_KINDS}, got {self.kind!r}")
         if self.kind == "w2v-pretrained" and not self.pretrained_path:
             raise ValueError("w2v-pretrained requires pretrained_path")
+        if not (self.max_terms is None or _positive_int(self.max_terms)):
+            raise ValueError(f"max_terms must be a positive integer or null, got {self.max_terms!r}")
+        if not _positive_int(self.k_per_class):
+            raise ValueError(f"k_per_class must be a positive integer, got {self.k_per_class!r}")
+        if self.weighting not in representations.AGG_WEIGHTINGS:
+            raise ValueError(
+                f"weighting must be one of {representations.AGG_WEIGHTINGS}, "
+                f"got {self.weighting!r}"
+            )
+        if self.tcor_idf not in representations.TCOR_IDF_MODES:
+            raise ValueError(
+                f"tcor_idf must be one of {representations.TCOR_IDF_MODES}, "
+                f"got {self.tcor_idf!r}"
+            )
 
     @property
     def id(self) -> str:

@@ -42,15 +42,15 @@ TCOR_IDF_MODES = ("feature-term", "row-term")
 class TermMatrix:
     """One row vector per vocabulary term.
 
-    ``matrix`` has shape ``(len(terms), dims)`` and may be dense or CSR
-    sparse.  ``feature_names`` labels the columns: author ids for document
+    ``matrix`` is a dense float64 array of shape ``(len(terms), dims)``.
+    ``feature_names`` labels the columns: author ids for document
     occurrence, terms for co-occurrence, ``"category/cluster"`` for
     subprofiles, absent for embeddings.
     """
 
     rep_kind: str
     terms: list[str]
-    matrix: np.ndarray | sp.spmatrix
+    matrix: np.ndarray
     feature_names: list[str] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -59,10 +59,16 @@ class TermMatrix:
             raise ValueError(
                 f"rep_kind must be one of {TERM_MATRIX_KINDS}, got {self.rep_kind!r}"
             )
+        if not isinstance(self.matrix, np.ndarray) or self.matrix.ndim != 2:
+            raise ValueError(f"matrix must be a 2-D numpy array, got {type(self.matrix).__name__}")
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.shape[0] != len(self.terms):
             raise ValueError(
                 f"matrix has {self.matrix.shape[0]} rows for {len(self.terms)} terms"
             )
+        if not self.feature_names:
+            # An empty list labels nothing; the text container stores it as None.
+            self.feature_names = None
         self._index = {t: i for i, t in enumerate(self.terms)}
 
     @property
@@ -75,15 +81,7 @@ class TermMatrix:
         return self._index[term]
 
     def row(self, term: str) -> np.ndarray:
-        r = self.matrix[self.index_of(term)]
-        if sp.issparse(r):
-            return np.asarray(r.todense(), dtype=np.float64).ravel()
-        return np.asarray(r, dtype=np.float64)
-
-    def dense(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray().astype(np.float64)
-        return np.asarray(self.matrix, dtype=np.float64)
+        return self.matrix[self.index_of(term)]
 
 
 @dataclass
@@ -131,6 +129,21 @@ def _log_fn(base: float):
     return lambda x: np.log(x) * scale
 
 
+def _log_idf(n: np.ndarray, spread: np.ndarray, base: float) -> np.ndarray:
+    """Weigh the term x feature counts ``n`` in place: ``(1 + log n) * log(|V| / spread)``.
+
+    Only the positive entries of ``n`` are rewritten; ``|V|`` is ``len(n)``
+    and ``spread`` broadcasts against ``n`` (one value per column or per
+    row).  A zero spread gives zero weight.
+    """
+    log = _log_fn(base)
+    idf = np.where(spread > 0, log(len(n) / np.maximum(spread, 1.0)), 0.0)
+    positive = n > 0
+    n[positive] = 1.0 + log(n[positive])
+    n *= idf
+    return n
+
+
 def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMatrix:
     """Represent each term by its weighted occurrence profile over documents.
 
@@ -141,22 +154,16 @@ def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMat
     """
     _require_nonempty(train, vocab)
     counts = count_matrix(train, vocab)
-    n_terms = len(vocab)
     distinct = counts.getnnz(axis=1).astype(np.float64)
     empty = np.flatnonzero(distinct == 0)
     if empty.size:
         names = [train.docs[i].author_id for i in empty]
         warnings.warn(f"documents without vocabulary terms get all-zero columns: {names}")
-    log = _log_fn(base)
-    idf = np.where(distinct > 0, log(n_terms / np.maximum(distinct, 1.0)), 0.0)
-    weighted = counts.T.tocsr()
-    weighted.data = 1.0 + log(weighted.data)
-    weighted = weighted.multiply(idf[np.newaxis, :]).tocsr()
-    weighted.eliminate_zeros()
+    matrix = _log_idf(counts.T.toarray(), distinct[np.newaxis, :], base)
     return TermMatrix(
         "DOR",
         list(vocab.terms),
-        weighted,
+        matrix,
         feature_names=[doc.author_id for doc in train.docs],
     )
 
@@ -185,12 +192,8 @@ def build_tcor(
     co = binary.T @ binary.toarray()
     np.fill_diagonal(co, 0.0)
     partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
-    n_terms = len(vocab)
-    log = _log_fn(base)
-    idf = np.where(partners > 0, log(n_terms / np.maximum(partners, 1.0)), 0.0)
-    shared = co > 0
-    co[shared] = 1.0 + log(co[shared])
-    co *= idf[np.newaxis, :] if idf_mode == "feature-term" else idf[:, np.newaxis]
+    spread = partners[np.newaxis, :] if idf_mode == "feature-term" else partners[:, np.newaxis]
+    co = _log_idf(co, spread, base)
     return TermMatrix("TCOR", list(vocab.terms), co, feature_names=list(vocab.terms))
 
 
@@ -199,38 +202,25 @@ def build_tcor(
 # ---------------------------------------------------------------------------
 
 
-def _row_sq_norms(X: sp.csr_matrix) -> np.ndarray:
-    sq = X.copy()
-    sq.data = sq.data**2
-    return np.asarray(sq.sum(axis=1)).ravel()
-
-
 def _row_l2_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
     """Rows of ``X`` scaled to unit L2 norm; all-zero rows stay zero."""
-    norms = np.sqrt(_row_sq_norms(X))
+    sq = X.copy()
+    sq.data = sq.data**2
+    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
     inv = np.where(norms > 0, 1.0 / np.maximum(norms, 1e-300), 0.0)
     return (sp.diags(inv) @ X).tocsr()
 
 
-def _sq_distances(X: sp.csr_matrix, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    cross = np.asarray(X @ centers.T)
+def _sq_distances(X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    cross = X @ centers.T
     c_sq = np.einsum("ij,ij->i", centers, centers)
     return np.maximum(x_sq[:, np.newaxis] - 2.0 * cross + c_sq[np.newaxis, :], 0.0)
-
-
-def _dense_row(X: sp.csr_matrix, i: int) -> np.ndarray:
-    # Copied from the CSR arrays, which hold no duplicate entries here;
-    # the scipy row slice X[i] costs about 20x more per call.
-    row = np.zeros(X.shape[1])
-    lo, hi = X.indptr[i], X.indptr[i + 1]
-    row[X.indices[lo:hi]] = X.data[lo:hi]
-    return row
 
 
 def _kmeanspp_init(X, k, rng, x_sq) -> np.ndarray:
     n = X.shape[0]
     centers = np.zeros((k, X.shape[1]))
-    centers[0] = _dense_row(X, int(rng.integers(n)))
+    centers[0] = X[int(rng.integers(n))]
     d2 = _sq_distances(X, centers[:1], x_sq)[:, 0]
     for j in range(1, k):
         total = d2.sum()
@@ -238,7 +228,7 @@ def _kmeanspp_init(X, k, rng, x_sq) -> np.ndarray:
             nxt = int(rng.choice(n, p=d2 / total))
         else:
             nxt = int(rng.integers(n))
-        centers[j] = _dense_row(X, nxt)
+        centers[j] = X[nxt]
         d2 = np.minimum(d2, _sq_distances(X, centers[j : j + 1], x_sq)[:, 0])
     return centers
 
@@ -267,8 +257,7 @@ def _lloyd(X, centers, x_sq, max_iter) -> tuple[np.ndarray, float]:
             break
         labels = new_labels
         for j in range(k):
-            members = X[labels == j]
-            centers[j] = np.asarray(members.mean(axis=0)).ravel()
+            centers[j] = X[labels == j].mean(axis=0)
     inertia = float(_sq_distances(X, centers, x_sq)[np.arange(n), labels].sum())
     return labels, inertia
 
@@ -283,7 +272,7 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmeans(X: sp.csr_matrix, k: int, rng, restarts: int = 20, max_iter: int = 100) -> np.ndarray:
+def _kmeans(X: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int = 100) -> np.ndarray:
     """Seeded k-means with kmeans++ init; best inertia over restarts wins.
 
     Cluster ids are canonicalized by first appearance so the labeling is
@@ -291,7 +280,7 @@ def _kmeans(X: sp.csr_matrix, k: int, rng, restarts: int = 20, max_iter: int = 1
     """
     if k <= 1:
         return np.zeros(X.shape[0], dtype=np.int64)
-    x_sq = _row_sq_norms(X)
+    x_sq = np.einsum("ij,ij->i", X, X)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
     for _ in range(restarts):
@@ -319,7 +308,7 @@ def cluster_subprofiles(
     if k_per_class < 1:
         raise ValueError("k_per_class must be a positive integer")
     _require_nonempty(train, vocab)
-    X = _row_l2_normalize(count_matrix(train, vocab))
+    X = _row_l2_normalize(count_matrix(train, vocab)).toarray()
     rng = np.random.default_rng(seed % (2**63))
     mapping: dict[str, int] = {}
     labels: list[str] = []
@@ -338,23 +327,19 @@ def _raw_subclass_weights(
     train: Corpus, vocab: Vocabulary, assignment: SubprofileAssignment
 ) -> np.ndarray:
     """Raw association mass: per subclass, sum of log2(1 + count/doc_length)."""
-    rows = []
-    cols = []
+    indicator = np.zeros((len(train.docs), assignment.n_subclasses))
     for i, doc in enumerate(train.docs):
         sub = assignment.mapping.get(doc.author_id)
         if sub is None:
             raise ValueError(f"assignment does not cover author {doc.author_id!r}")
-        rows.append(i)
-        cols.append(sub)
+        indicator[i, sub] = 1.0
     counts = count_matrix(train, vocab)
     lengths = np.array([max(len(doc.tokens), 1) for doc in train.docs], dtype=np.float64)
     scaled = (sp.diags(1.0 / lengths) @ counts).tocsr()
     scaled.data = np.log2(1.0 + scaled.data)
-    indicator = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(len(train.docs), assignment.n_subclasses),
-    )
-    return np.asarray((scaled.T @ indicator).todense())
+    # Column-major, so numpy sums each subclass's column over the |V| terms
+    # pairwise, which is more accurate than a running sum row by row.
+    return np.asfortranarray(scaled.T @ indicator)
 
 
 def _normalize_ssr(raw: np.ndarray, subclass_labels: list[str]) -> np.ndarray:
@@ -416,8 +401,7 @@ def aggregate_corpus(
         author = docs.docs[i].author_id
         warnings.warn(f"document {author!r} has no in-vocabulary tokens; zero vector")
     weights.data /= np.repeat(totals, np.diff(weights.indptr))
-    out = weights @ tm.matrix
-    return out.toarray() if sp.issparse(out) else out
+    return weights @ tm.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +419,8 @@ def save_term_matrix(tm: TermMatrix, path, mode: str = "text") -> None:
     """Write a term matrix container.
 
     ``text`` is the exact-round-trip interchange mode (values at 17
-    significant digits, dense row-major); ``npz`` is a compact binary mode
-    that preserves sparsity.
+    significant digits, row-major); ``npz`` is a compressed binary mode
+    holding the same dense array.
     """
     if mode == "text":
         _save_text(tm, path)
@@ -447,7 +431,6 @@ def save_term_matrix(tm: TermMatrix, path, mode: str = "text") -> None:
 
 
 def _save_text(tm: TermMatrix, path) -> None:
-    dense = tm.dense()
     lines = [
         _TEXT_MAGIC,
         f"kind {tm.rep_kind}",
@@ -459,7 +442,7 @@ def _save_text(tm: TermMatrix, path) -> None:
     lines.extend(tm.terms)
     if tm.feature_names is not None:
         lines.extend(tm.feature_names)
-    for row in dense:
+    for row in tm.matrix:
         lines.append(" ".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -475,23 +458,10 @@ def _save_npz(tm: TermMatrix, path) -> None:
         },
         sort_keys=True,
     )
-    if sp.issparse(tm.matrix):
-        m = tm.matrix.tocsr()
+    # Through an open file, so numpy does not append ".npz" to the path.
+    with open(path, "wb") as fh:
         np.savez_compressed(
-            path,
-            header=np.array(header),
-            layout=np.array("csr"),
-            data=m.data,
-            indices=m.indices,
-            indptr=m.indptr,
-            shape=np.array(m.shape, dtype=np.int64),
-        )
-    else:
-        np.savez_compressed(
-            path,
-            header=np.array(header),
-            layout=np.array("dense"),
-            values=np.asarray(tm.matrix, dtype=np.float64),
+            fh, header=np.array(header), layout=np.array("dense"), values=tm.matrix
         )
 
 
@@ -531,13 +501,10 @@ def _load_text(path) -> TermMatrix:
 def _load_npz(path) -> TermMatrix:
     with np.load(path, allow_pickle=False) as payload:
         header = json.loads(str(payload["header"]))
-        if str(payload["layout"]) == "csr":
-            matrix: np.ndarray | sp.spmatrix = sp.csr_matrix(
-                (payload["data"], payload["indices"], payload["indptr"]),
-                shape=tuple(payload["shape"]),
-            )
-        else:
-            matrix = payload["values"]
+        layout = str(payload["layout"])
+        if layout != "dense":
+            raise ValueError(f"{path}: unsupported npz layout {layout!r} (expected 'dense')")
+        matrix = payload["values"]
     return TermMatrix(
         header["kind"],
         list(header["terms"]),

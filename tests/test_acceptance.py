@@ -63,13 +63,13 @@ def test_formula_oracles_dor_tcor():
             vocab = build_vocabulary(corpus)
             tokens = [d.tokens for d in corpus.docs]
             np.testing.assert_allclose(
-                build_dor(corpus, vocab).dense(),
+                build_dor(corpus, vocab).matrix,
                 naive_dor(tokens, vocab.terms),
                 atol=1e-12,
                 rtol=0,
             )
             np.testing.assert_allclose(
-                build_tcor(corpus, vocab).dense(),
+                build_tcor(corpus, vocab).matrix,
                 naive_tcor(tokens, vocab.terms),
                 atol=1e-12,
                 rtol=0,
@@ -90,7 +90,7 @@ def test_ssr_invariants():
             corpus = corpus_from_tokens(lists, labels=labels)
             vocab = build_vocabulary(corpus)
             assignment = cluster_subprofiles(corpus, "cat", vocab, 2, seed=trial)
-            dense = build_ssr(corpus, vocab, assignment).dense()
+            dense = build_ssr(corpus, vocab, assignment).matrix
             sums = dense.sum(axis=1)
             supported = sums > 0
             np.testing.assert_allclose(sums[supported], 1.0, atol=1e-9)
@@ -102,7 +102,7 @@ def test_ssr_invariants():
         )
         vocab = build_vocabulary(corpus)
         assignment = cluster_subprofiles(corpus, "cat", vocab, 1, seed=0)
-        dense = build_ssr(corpus, vocab, assignment).dense()
+        dense = build_ssr(corpus, vocab, assignment).matrix
         np.testing.assert_allclose(dense[vocab.index["solo"]], [1.0, 0.0])
 
         # k_per_class=1 must degenerate to the plain class-level assignment,
@@ -126,8 +126,8 @@ def test_ssr_invariants():
             mapping={doc.author_id: cats.index(doc.labels["cat"]) for doc in corpus.docs},
             subclass_labels=list(cats),
         )
-        got = build_ssr(corpus, vocab, assignment).dense()
-        np.testing.assert_array_equal(got, build_ssr(corpus, vocab, class_level).dense())
+        got = build_ssr(corpus, vocab, assignment).matrix
+        np.testing.assert_array_equal(got, build_ssr(corpus, vocab, class_level).matrix)
 
         # and it must match an independent per-document double loop
         raw = np.zeros((len(vocab), len(cats)))
@@ -309,7 +309,7 @@ def test_skipgram_contextual_similarity():
         for seed in range(5):
             cfg = EmbeddingConfig(dim=16, window=2, epochs=10, seed=seed)
             tm = train_skipgram(corpus, vocab, cfg)
-            assert np.isfinite(tm.dense()).all()
+            assert np.isfinite(tm.matrix).all()
             objective = tm.meta["objective"]
             assert objective[-1] <= objective[0]
             x, y, z = (tm.row(t) for t in ("x", "y", "z"))

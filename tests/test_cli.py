@@ -114,6 +114,31 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert "classifier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rep",
+        [
+            {"kind": "dor", "max_terms": 0},
+            {"kind": "dor", "max_terms": -5},
+            {"kind": "dor", "max_terms": 2.5},
+            {"kind": "dor", "max_terms": True},
+            {"kind": "dor", "max_terms": "100"},
+            {"kind": "ssr", "k_per_class": 0},
+            {"kind": "ssr", "k_per_class": False},
+            {"kind": "ssr", "k_per_class": 1.0},
+            {"kind": "dor", "weighting": "max"},
+            {"kind": "dor", "weighting": True},
+            {"kind": "tcor", "tcor_idf": "global"},
+        ],
+    )
+    def test_bad_representation_config_exits_2_before_loading(self, tmp_path, rep, capsys):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        config, _ = write_config(tmp_path, bad, representations=[{"kind": "bow"}, rep])
+        assert main(["run", "--config", str(config)]) == 2
+        field = next(key for key in rep if key != "kind")
+        assert field in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}

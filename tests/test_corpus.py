@@ -134,7 +134,11 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match="format"):
             load_corpus(tmp_path, "xml")
 
-    @pytest.mark.parametrize("author_id", ["", "a\nb", "a\rb"])
+    @pytest.mark.parametrize(
+        "author_id",
+        ["", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b"]
+        + ["a\u2028b", "a\u2029b"],
+    )
     def test_unwritable_author_id_rejected(self, tmp_path, author_id):
         path = tmp_path / "c.jsonl"
         record = {"author_id": author_id, "text": "a text", "gender": "f"}

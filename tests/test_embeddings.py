@@ -71,7 +71,7 @@ class TestTrainSkipgram:
         vocab = build_vocabulary(corpus)
         cfg = EmbeddingConfig(dim=8, epochs=3, initial_lr=0.5, seed=2)
         tm = train_skipgram(corpus, vocab, cfg)
-        assert np.isfinite(tm.dense()).all()
+        assert np.isfinite(tm.matrix).all()
 
     def test_min_count_zeroes_rare_terms(self):
         corpus = corpus_from_tokens([["a", "a", "a", "b", "a", "rare"]])
@@ -105,7 +105,7 @@ class TestWord2vecFormat:
         path = tmp_path / "vec.txt"
         save_embeddings(tm, path)
         back = load_embeddings(path, vocab)
-        np.testing.assert_array_equal(back.dense(), tm.dense())
+        np.testing.assert_array_equal(back.matrix, tm.matrix)
         assert back.meta["coverage"] == 1.0
 
     def test_partial_coverage(self, tmp_path):
@@ -169,7 +169,7 @@ class TestNearestNeighbors:
 
     def test_matches_brute_force_cosines(self):
         tm = self.matrix()
-        dense = tm.dense()
+        dense = tm.matrix
         query = dense[0]
         sims = {
             term: cosine(query, dense[i]) for i, term in enumerate(tm.terms) if i != 0

@@ -1,5 +1,5 @@
 """Property tests for the corpus count matrix and everything read from it,
-and for the SVM model container."""
+and for the SVM model, term-matrix and word2vec containers."""
 
 import tempfile
 from pathlib import Path
@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model
-from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
-from dtrkit.representations import count_matrix
+from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary, tokenize
+from dtrkit.embeddings import read_word2vec, save_embeddings
+from dtrkit.representations import (
+    TERM_MATRIX_KINDS,
+    TermMatrix,
+    count_matrix,
+    load_term_matrix,
+    save_term_matrix,
+)
 
 from oracles import naive_counts
 
@@ -108,7 +115,7 @@ JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | FLOATS
 @st.composite
 def svm_models(draw):
     categories = draw(st.lists(CATEGORY, min_size=2, max_size=5, unique=True))
-    n_features = draw(st.integers(1, 4))
+    n_features = draw(st.integers(0, 4))
     n_machines = 1 if len(categories) == 2 else len(categories)
     vectors = st.lists(FLOATS, min_size=n_features, max_size=n_features).map(np.array)
     size = n_machines * (n_features + 1)
@@ -148,3 +155,77 @@ def test_svm_model_round_trips_bit_for_bit(model):
     else:
         assert same_bits(back.feature_mean, model.feature_mean)
         assert same_bits(back.feature_scale, model.feature_scale)
+
+
+# Strings that pass the Corpus author-id check (non-empty, no line
+# boundary), with spaces, tabs, slashes, quotes and non-ASCII drawn often.
+IDS = (
+    st.text(min_size=1, max_size=6)
+    | st.sampled_from([" ", "a b", "\t", "x/0", '"', "\u00e9t\u00e9", "\U0001F600"])
+).filter(lambda s: s.splitlines() == [s])
+
+
+def float_matrices(n_rows, n_cols):
+    """Strategy for an (n_rows, n_cols) float64 array, some rows all zero."""
+    size = n_rows * n_cols
+    values = st.lists(FLOATS, min_size=size, max_size=size)
+    zero_rows = st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+
+    def build(args):
+        flat, zero = args
+        matrix = np.array(flat, dtype=np.float64).reshape(n_rows, n_cols)
+        matrix[np.array(zero, dtype=bool)] = 0.0
+        return matrix
+
+    return st.tuples(values, zero_rows).map(build)
+
+
+@st.composite
+def term_matrices(draw):
+    kind = draw(st.sampled_from(TERM_MATRIX_KINDS))
+    n_terms, dims = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    feature_names = None
+    if kind != "EMBEDDING":
+        feature_names = draw(st.lists(IDS, min_size=dims, max_size=dims, unique=True))
+    return TermMatrix(
+        kind,
+        draw(st.lists(IDS, min_size=n_terms, max_size=n_terms, unique=True)),
+        draw(float_matrices(n_terms, dims)),
+        feature_names=feature_names,
+        meta=draw(st.dictionaries(st.text(max_size=5), JSON_SCALARS, max_size=4)),
+    )
+
+
+@settings(deadline=None)
+@given(term_matrices(), st.sampled_from(["text", "npz"]))
+def test_term_matrix_round_trips_bit_for_bit(tm, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix"
+        save_term_matrix(tm, path, mode=mode)
+        back = load_term_matrix(path)
+    assert back.rep_kind == tm.rep_kind
+    assert back.terms == tm.terms
+    assert back.feature_names == tm.feature_names
+    assert back.meta == tm.meta
+    assert same_bits(back.matrix, tm.matrix)
+
+
+@st.composite
+def embedding_matrices(draw):
+    """Embeddings over distinct tokens that ``tokenize`` produced."""
+    text = draw(st.text(max_size=40))
+    terms = list(dict.fromkeys(tokenize(text)))
+    # The word2vec header requires at least one dimension.
+    dims = draw(st.integers(1, 3))
+    return TermMatrix("EMBEDDING", terms, draw(float_matrices(len(terms), dims)))
+
+
+@settings(deadline=None)
+@given(embedding_matrices())
+def test_word2vec_round_trips_bit_for_bit(tm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.txt"
+        save_embeddings(tm, path)
+        words, matrix = read_word2vec(path)
+    assert words == tm.terms
+    assert same_bits(matrix, tm.matrix)

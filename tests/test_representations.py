@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestBuildDor:
             lists = random_token_lists(rng)
             corpus = corpus_from_tokens(lists)
             vocab = vocab_of(corpus)
-            got = build_dor(corpus, vocab).dense()
+            got = build_dor(corpus, vocab).matrix
             want = naive_dor([d.tokens for d in corpus.docs], vocab.terms)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -49,17 +50,17 @@ class TestBuildDor:
         corpus = corpus_from_tokens(lists)
         vocab = vocab_of(corpus)
         tm = build_dor(corpus, vocab)
-        assert tm.dense()[vocab.index["t"], 0] == pytest.approx(DOR_EXAMPLE, abs=1e-12)
+        assert tm.matrix[vocab.index["t"], 0] == pytest.approx(DOR_EXAMPLE, abs=1e-12)
 
     def test_absent_term_weights_zero(self):
         corpus = corpus_from_tokens([["a", "b"], ["c"]])
         vocab = vocab_of(corpus)
-        assert build_dor(corpus, vocab).dense()[vocab.index["c"], 0] == 0.0
+        assert build_dor(corpus, vocab).matrix[vocab.index["c"], 0] == 0.0
 
     def test_doc_covering_whole_vocabulary_weights_zero(self):
         corpus = corpus_from_tokens([["a", "b", "c"]])
         vocab = vocab_of(corpus)
-        np.testing.assert_array_equal(build_dor(corpus, vocab).dense(), 0.0)
+        np.testing.assert_array_equal(build_dor(corpus, vocab).matrix, 0.0)
 
     def test_empty_document_warns_and_zeroes_column(self):
         corpus = corpus_from_tokens([["a", "a", "b"], ["zzz"]])
@@ -67,7 +68,7 @@ class TestBuildDor:
         assert "zzz" not in vocab
         with pytest.warns(UserWarning, match="doc001"):
             tm = build_dor(corpus, vocab)
-        np.testing.assert_array_equal(tm.dense()[:, 1], 0.0)
+        np.testing.assert_array_equal(tm.matrix[:, 1], 0.0)
 
     def test_shape_and_feature_names(self):
         corpus = corpus_from_tokens([["a"], ["a", "b"], ["b"]])
@@ -81,7 +82,7 @@ class TestBuildDor:
         for _ in range(10):
             corpus = corpus_from_tokens(random_token_lists(rng))
             tm = build_dor(corpus, vocab_of(corpus))
-            assert (tm.dense() >= 0).all()
+            assert (tm.matrix >= 0).all()
 
 
 class TestBuildTcor:
@@ -90,7 +91,7 @@ class TestBuildTcor:
             corpus = corpus_from_tokens(random_token_lists(rng))
             vocab = vocab_of(corpus)
             mode = ("feature-term", "row-term")[int(rng.integers(2))]
-            got = build_tcor(corpus, vocab, idf_mode=mode).dense()
+            got = build_tcor(corpus, vocab, idf_mode=mode).matrix
             want = naive_tcor([d.tokens for d in corpus.docs], vocab.terms, mode)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -109,18 +110,18 @@ class TestBuildTcor:
         vocab = vocab_of(corpus)
         assert len(vocab) == 8
         tm = build_tcor(corpus, vocab)
-        got = tm.dense()[vocab.index["ti"], vocab.index["tj"]]
+        got = tm.matrix[vocab.index["ti"], vocab.index["tj"]]
         assert got == pytest.approx(TCOR_EXAMPLE, abs=1e-12)
 
     def test_never_sharing_a_document_weights_zero(self):
         corpus = corpus_from_tokens([["a", "b"], ["c", "d"]])
         vocab = vocab_of(corpus)
-        dense = build_tcor(corpus, vocab).dense()
+        dense = build_tcor(corpus, vocab).matrix
         assert dense[vocab.index["a"], vocab.index["c"]] == 0.0
 
     def test_diagonal_is_zero(self, rng):
         corpus = corpus_from_tokens(random_token_lists(rng))
-        dense = build_tcor(corpus, vocab_of(corpus)).dense()
+        dense = build_tcor(corpus, vocab_of(corpus)).matrix
         np.testing.assert_array_equal(np.diag(dense), 0.0)
 
     def test_cooccurrence_counts_symmetric(self, rng):
@@ -172,7 +173,7 @@ class TestClusterSubprofiles:
         for _ in range(10):
             points = rng.normal(size=(6, 2))
             points /= np.linalg.norm(points, axis=1, keepdims=True)
-            labels = _kmeans(sp.csr_matrix(points), 2, np.random.default_rng(3))
+            labels = _kmeans(points, 2, np.random.default_rng(3))
             got = frozenset(
                 frozenset(np.flatnonzero(labels == side)) for side in (0, 1)
             )
@@ -210,7 +211,7 @@ class TestBuildSsr:
         )
         vocab = vocab_of(corpus)
         assignment = cluster_subprofiles(corpus, "cat", vocab, 1, seed=0)
-        dense = build_ssr(corpus, vocab, assignment).dense()
+        dense = build_ssr(corpus, vocab, assignment).matrix
         np.testing.assert_allclose(dense[vocab.index["only"]], [1.0, 0.0])
 
     def test_raw_contribution_worked_example(self):
@@ -228,7 +229,7 @@ class TestBuildSsr:
         )
         vocab = vocab_of(corpus)
         assignment = cluster_subprofiles(corpus, "cat", vocab, 1, seed=0)
-        dense = build_ssr(corpus, vocab, assignment).dense()
+        dense = build_ssr(corpus, vocab, assignment).matrix
         np.testing.assert_allclose(dense[vocab.index["shared"]], [0.5, 0.5], atol=1e-12)
 
     def test_supported_rows_sum_to_one_on_random_corpora(self, rng):
@@ -241,7 +242,7 @@ class TestBuildSsr:
             corpus = corpus_from_tokens(lists, labels=labels)
             vocab = vocab_of(corpus)
             assignment = cluster_subprofiles(corpus, "cat", vocab, 2, seed=5)
-            dense = build_ssr(corpus, vocab, assignment).dense()
+            dense = build_ssr(corpus, vocab, assignment).matrix
             sums = dense.sum(axis=1)
             supported = sums > 0
             np.testing.assert_allclose(sums[supported], 1.0, atol=1e-9)
@@ -284,7 +285,7 @@ class TestBuildSsr:
         corpus = corpus_from_tokens(lists, labels=labels)
         vocab = vocab_of(corpus)
         assignment = cluster_subprofiles(corpus, "cat", vocab, 1, seed=0)
-        got = build_ssr(corpus, vocab, assignment).dense()
+        got = build_ssr(corpus, vocab, assignment).matrix
 
         cats = corpus.categories("cat")
         raw = np.zeros((len(vocab), len(cats)))
@@ -355,16 +356,14 @@ class TestAggregate:
             out, [wa / (wa + wb), wb / (wa + wb)], atol=1e-12
         )
 
-    def test_sparse_and_dense_paths_agree(self, rng):
-        corpus = corpus_from_tokens(random_token_lists(rng, max_docs=4))
-        vocab = vocab_of(corpus)
-        tm_sparse = build_dor(corpus, vocab)
-        tm_dense = TermMatrix(
-            "DOR", tm_sparse.terms, tm_sparse.dense(), tm_sparse.feature_names
-        )
-        got_sparse = aggregate_corpus(corpus, tm_sparse, vocab)
-        got_dense = aggregate_corpus(corpus, tm_dense, vocab)
-        np.testing.assert_allclose(got_sparse, got_dense, atol=1e-12)
+    @pytest.mark.parametrize(
+        "matrix",
+        [sp.csr_matrix(np.eye(2)), np.zeros(2), np.zeros((2, 1, 1)), [[1.0], [2.0]]],
+        ids=["csr", "1-d", "3-d", "list"],
+    )
+    def test_sparse_or_non_2d_term_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="2-D numpy array"):
+            TermMatrix("DOR", ["a", "b"], matrix)
 
     def test_matches_naive_loop_for_every_term_matrix_kind(self, rng):
         for _ in range(10):
@@ -379,8 +378,8 @@ class TestAggregate:
                 build_ssr(corpus, vocab, assignment),
                 TermMatrix("EMBEDDING", vocab.terms, rng.normal(size=(len(vocab), 3))),
             ]
-            assert sp.issparse(matrices[0].matrix)
-            assert isinstance(matrices[1].matrix, np.ndarray)
+            for tm in matrices:
+                assert isinstance(tm.matrix, np.ndarray) and tm.matrix.dtype == np.float64
             oov = AuthorDoc.from_text("oov", "zzz qqq", {"cat": "x"})
             docs = Corpus(corpus.docs + [oov], corpus.tasks)
             for tm in matrices:
@@ -388,7 +387,7 @@ class TestAggregate:
                     with pytest.warns(UserWarning, match="'oov' has no in-vocabulary"):
                         got = aggregate_corpus(docs, tm, vocab, weighting)
                     want = naive_aggregate(
-                        [d.tokens for d in docs.docs], vocab.terms, tm.dense(), weighting
+                        [d.tokens for d in docs.docs], vocab.terms, tm.matrix, weighting
                     )
                     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
                     np.testing.assert_array_equal(got[-1], 0.0)
@@ -426,7 +425,7 @@ class TestSerialization:
         assert back.rep_kind == tm.rep_kind
         assert back.terms == tm.terms
         assert back.meta == tm.meta
-        np.testing.assert_array_equal(back.dense(), values)
+        np.testing.assert_array_equal(back.matrix, values)
 
     def test_text_roundtrip_sparse_with_features(self, tmp_path, rng):
         corpus = corpus_from_tokens(random_token_lists(rng, max_docs=4))
@@ -436,7 +435,7 @@ class TestSerialization:
         save_term_matrix(tm, path, mode="text")
         back = load_term_matrix(path)
         assert back.feature_names == tm.feature_names
-        np.testing.assert_array_equal(back.dense(), tm.dense())
+        np.testing.assert_array_equal(back.matrix, tm.matrix)
 
     def test_npz_roundtrip(self, tmp_path, rng):
         corpus = corpus_from_tokens(random_token_lists(rng, max_docs=4))
@@ -449,7 +448,14 @@ class TestSerialization:
             assert back.rep_kind == tm.rep_kind
             assert back.terms == tm.terms
             assert back.feature_names == tm.feature_names
-            np.testing.assert_array_equal(back.dense(), tm.dense())
+            np.testing.assert_array_equal(back.matrix, tm.matrix)
+
+    def test_npz_layout_other_than_dense_rejected(self, tmp_path):
+        path = tmp_path / "old.npz"
+        header = {"kind": "DOR", "terms": ["a"], "feature_names": ["d"], "meta": {}}
+        np.savez_compressed(path, header=np.array(json.dumps(header)), layout=np.array("csr"))
+        with pytest.raises(ValueError, match="layout 'csr'"):
+            load_term_matrix(path)
 
     def test_unknown_mode(self, tmp_path):
         tm = TermMatrix("SSR", ["a"], np.zeros((1, 1)))
