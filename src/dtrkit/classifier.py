@@ -85,17 +85,15 @@ class SvmModel:
     feature_scale: np.ndarray | None = None
 
 
-def _as_feature_matrix(X) -> sp.csr_matrix:
-    if sp.issparse(X):
-        mat = X.tocsr().astype(np.float64)
-    else:
-        arr = np.asarray(X, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ValueError(f"features must form a 2-d matrix, got ndim={arr.ndim}")
-        mat = sp.csr_matrix(arr)
-    if not np.all(np.isfinite(mat.data)):
+def _as_feature_matrix(X) -> np.ndarray:
+    """Features as a dense 2-D float64 array; sparse bag-of-words input is
+    densified once here, so the classifier has one path."""
+    mat = np.asarray(X.toarray() if sp.issparse(X) else X, dtype=np.float64)
+    if mat.ndim == 1:
+        mat = mat.reshape(1, -1)
+    if mat.ndim != 2:
+        raise ValueError(f"features must form a 2-d matrix, got ndim={mat.ndim}")
+    if not np.all(np.isfinite(mat)):
         raise ValueError("features contain NaN or Inf")
     return mat
 
@@ -167,8 +165,9 @@ def train_linear_svm(
     each epoch, making training fully reproducible for a fixed seed.  No
     feature scaling happens by default; ``standardize=True`` applies a
     per-dimension training-fold standardization that the model replays at
-    prediction time.  The one-vs-rest machines share one dense Gram matrix
-    of the training rows, n_train^2 * 8 bytes of memory.
+    prediction time.  Features are held as one dense array, n * d * 8 bytes
+    (sparse input is densified on entry), and the one-vs-rest machines share
+    one dense Gram matrix of the training rows, n_train^2 * 8 bytes.
     """
     mat = _as_feature_matrix(X)
     labels = [str(lab) for lab in y]
@@ -185,14 +184,13 @@ def train_linear_svm(
         raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
     feature_mean = feature_scale = None
     if standardize:
-        dense = mat.toarray()
-        feature_mean = dense.mean(axis=0)
-        std = dense.std(axis=0)
+        feature_mean = mat.mean(axis=0)
+        std = mat.std(axis=0)
         feature_scale = np.where(std > 0, std, 1.0)
-        mat = sp.csr_matrix((dense - feature_mean) / feature_scale)
-    aug = sp.hstack([mat, np.ones((mat.shape[0], 1))], format="csr")
-    # One dense n_train x n_train Gram matrix, shared by every machine.
-    K = (aug @ aug.T).toarray()
+        mat = (mat - feature_mean) / feature_scale
+    aug = np.hstack([mat, np.ones((mat.shape[0], 1))])
+    # One n_train x n_train Gram matrix, shared by every machine.
+    K = aug @ aug.T
     machines = categories[:1] if len(categories) == 2 else categories
     weights = np.zeros((len(machines), aug.shape[1]))
     label_arr = np.array(labels)
@@ -235,9 +233,9 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
             f"feature dimension {mat.shape[1]} does not match model dimension {model.n_features}"
         )
     if model.feature_mean is not None:
-        mat = sp.csr_matrix((mat.toarray() - model.feature_mean) / model.feature_scale)
+        mat = (mat - model.feature_mean) / model.feature_scale
     w = model.weights
-    return np.asarray(mat @ w[:, :-1].T) + w[:, -1][np.newaxis, :]
+    return mat @ w[:, :-1].T + w[:, -1][np.newaxis, :]
 
 
 def predict(model: SvmModel, X) -> list[str]:

@@ -26,6 +26,7 @@ from .evaluation import (
     reports_to_accuracy_csv,
     top_terms_tfidf,
 )
+from .representations import _finite_real, _integer
 
 __all__ = ["main", "ConfigError"]
 
@@ -143,7 +144,7 @@ def _load_run_config(args) -> dict:
     if args.out:
         cfg["output_dir"] = args.out
 
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
+    if not _integer(cfg.get("seed")):
         raise ConfigError("config must set an integer 'seed'")
     corpora = cfg.get("corpora")
     if not corpora:
@@ -161,7 +162,14 @@ def _load_run_config(args) -> dict:
     if not cfg.get("representations"):
         raise ConfigError("config must list at least one representation")
     cfg.setdefault("output_dir", "reports")
+    if not isinstance(cfg.get("evaluation", {}), dict):
+        raise ConfigError("'evaluation' must be a JSON object")
     cfg["evaluation"] = {**_DEFAULT_EVALUATION, **cfg.get("evaluation", {})}
+    folds, alpha = cfg["evaluation"]["folds"], cfg["evaluation"]["alpha"]
+    if not (_integer(folds) and folds >= 2):
+        raise ConfigError(f"evaluation folds must be an integer >= 2, got {folds!r}")
+    if not (_finite_real(alpha) and 0 < alpha < 1):
+        raise ConfigError(f"evaluation alpha must be a number in (0, 1), got {alpha!r}")
     cfg.setdefault("classifier", {})
     return cfg
 
@@ -189,8 +197,8 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"]
-    folds = int(cfg["evaluation"]["folds"])
-    alpha = float(cfg["evaluation"]["alpha"])
+    folds = cfg["evaluation"]["folds"]
+    alpha = cfg["evaluation"]["alpha"]
     try:
         clf = ClfConfig(**cfg["classifier"])
     except (TypeError, ValueError) as exc:

@@ -102,6 +102,14 @@ class Corpus:
                 raise ValueError(
                     f"author {doc.author_id!r} is missing labels for tasks {sorted(missing)}"
                 )
+            for task in sorted(self.tasks):
+                label = doc.labels[task]
+                # Labels name SSR features ("category/cluster"), one per line.
+                if label.splitlines() != [label]:
+                    raise ValueError(
+                        f"author {doc.author_id!r} has label {label!r} for task {task!r}; "
+                        "labels must be non-empty and single-line"
+                    )
 
     def __len__(self) -> int:
         return len(self.docs)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Corpus, Vocabulary
-from .representations import TermMatrix, _fmt
+from .representations import TermMatrix, _finite_real, _fmt, _integer, _positive_int
 
 __all__ = [
     "EmbeddingConfig",
@@ -36,12 +36,18 @@ class EmbeddingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.window < 1 or self.epochs < 1 or self.min_count < 1:
-            raise ValueError("dim, window, epochs, and min_count must be >= 1")
-        if self.negatives < 0:
-            raise ValueError("negatives must be >= 0")
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        for name in ("dim", "window", "epochs", "min_count"):
+            value = getattr(self, name)
+            if not _positive_int(value):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (_integer(self.negatives) and self.negatives >= 0):
+            raise ValueError(f"negatives must be a non-negative integer, got {self.negatives!r}")
+        if not _integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (_finite_real(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError(f"initial_lr must be a finite positive number, got {self.initial_lr!r}")
+        if not (_finite_real(self.subsample) and self.subsample >= 0):
+            raise ValueError(f"subsample must be a finite number >= 0, got {self.subsample!r}")
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -142,7 +148,14 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
 
 def save_embeddings(tm: TermMatrix, path) -> None:
     """Write vectors in the textual word2vec format: 'count dim' header, then
-    one line per term (token followed by the vector values)."""
+    one line per term (token followed by the vector values).  Refuses, before
+    creating the file, what :func:`read_word2vec` would reject: zero
+    dimensions, or a term that is empty or holds whitespace."""
+    if tm.dims < 1:
+        raise ValueError(f"word2vec vectors need at least one dimension, got {tm.dims}")
+    for term in tm.terms:
+        if term.split() != [term]:
+            raise ValueError(f"term {term!r} must be non-empty and free of whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(tm.terms)} {tm.dims}\n")
         for term, row in zip(tm.terms, tm.matrix):

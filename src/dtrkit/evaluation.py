@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import classifier, embeddings, representations
 from .corpus import Corpus, Vocabulary, build_vocabulary
+from .representations import _finite_real, _positive_int
 from .stopwords import default_stopwords
 
 __all__ = [
@@ -50,10 +50,6 @@ CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
 
 
 @dataclass
@@ -101,8 +97,7 @@ class ClfConfig:
     standardize: bool = False  # per-dimension training-fold standardization
 
     def __post_init__(self) -> None:
-        real = isinstance(self.C, numbers.Real) and not isinstance(self.C, bool)
-        if not (real and self.C > 0 and math.isfinite(self.C)):
+        if not (_finite_real(self.C) and self.C > 0):
             raise ValueError(f"C must be a finite positive number, got {self.C!r}")
         if self.bow_weighting not in classifier.BOW_WEIGHTINGS:
             raise ValueError(
@@ -599,4 +594,4 @@ def information_gain(values, labels) -> float:
         if side.any():
             members = [labels[i] for i in np.flatnonzero(side)]
             gain -= (side.sum() / values.size) * entropy(members)
-    return max(gain, 0.0)
+    return float(max(gain, 0.0))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -188,8 +189,9 @@ def build_tcor(
     binary = count_matrix(train, vocab)
     binary.data = np.ones_like(binary.data)
     # Nearly every pair of terms shares some document, so the matrix is
-    # stored dense: CSR would take more memory than the dense array.
-    co = binary.T @ binary.toarray()
+    # stored dense; a dense BLAS product of 0/1 counts is exact.
+    bd = binary.toarray()
+    co = bd.T @ bd
     np.fill_diagonal(co, 0.0)
     partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
     spread = partners[np.newaxis, :] if idf_mode == "feature-term" else partners[:, np.newaxis]
@@ -413,6 +415,20 @@ _TEXT_MAGIC = "dtr-term-matrix 1"
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+# Config checks shared by every config object: JSON gives ints, floats and
+# bools, and a bool is an int to Python.
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _positive_int(value) -> bool:
+    return _integer(value) and value > 0
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def save_term_matrix(tm: TermMatrix, path, mode: str = "text") -> None:

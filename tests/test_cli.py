@@ -139,6 +139,53 @@ class TestRun:
         field = next(key for key in rep if key != "kind")
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "evaluation, field",
+        [
+            ({"folds": "x"}, "folds"),
+            ({"folds": 0}, "folds"),
+            ({"folds": 1}, "folds"),
+            ({"folds": True}, "folds"),
+            ({"folds": 2.7}, "folds"),
+            ({"alpha": 5}, "alpha"),
+            ({"alpha": 0}, "alpha"),
+            ({"alpha": 1}, "alpha"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"alpha": "0.05"}, "alpha"),
+            ([10], "evaluation"),
+        ],
+    )
+    def test_bad_evaluation_config_exits_2_before_loading(
+        self, tmp_path, evaluation, field, capsys
+    ):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        config, _ = write_config(tmp_path, bad, evaluation=evaluation)
+        assert main(["run", "--config", str(config)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [
+            {"dim": 2.5},
+            {"dim": True},
+            {"epochs": 1.0},
+            {"negatives": 1.0},
+            {"initial_lr": float("nan")},
+            {"subsample": -1},
+            {"seed": 0.5},
+        ],
+    )
+    def test_bad_embedding_config_exits_2_before_loading(self, tmp_path, embedding, capsys):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        rep = {"kind": "w2v-train", "embedding": embedding}
+        config, _ = write_config(tmp_path, bad, representations=[{"kind": "bow"}, rep])
+        assert main(["run", "--config", str(config)]) == 2
+        assert next(iter(embedding)) in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}
@@ -250,6 +297,19 @@ class TestTopTerms:
         printed = capsys.readouterr().out
         assert "linux" in printed or "office" in printed
         assert "A |" in printed and "B |" in printed
+
+    def test_csv_information_gain_is_a_plain_number(self, tmp_path, synthetic_jsonl):
+        out = tmp_path / "top.csv"
+        code = main(
+            ["top-terms", "--corpus", str(synthetic_jsonl), "--format", "jsonl",
+             "--task", "topic", "--count", "3", "--words", "2", "--out", str(out)]
+        )
+        assert code == 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        column = header.split(",").index("information_gain")
+        assert rows
+        for row in rows:
+            float(row.split(",")[column])
 
     def test_count_zero_empty_report(self, tmp_path, synthetic_jsonl, capsys):
         code = main(

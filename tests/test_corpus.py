@@ -146,6 +146,20 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match=re.escape(repr(author_id))):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize(
+        "label",
+        ["", "p\nq", "p\rq", "p\x0bq", "p\x0cq", "p\x1cq", "p\x1dq", "p\x1eq", "p\x85q"]
+        + ["p\u2028q", "p\u2029q"],
+    )
+    def test_unwritable_label_rejected(self, tmp_path, label):
+        # SSR names its features "<category>/<cluster>", one per container line.
+        path = tmp_path / "c.jsonl"
+        record = {"author_id": "a1", "text": "a text", "gender": label}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(repr(label))) as info:
+            load_corpus(path, "jsonl")
+        assert "'a1'" in str(info.value) and "'gender'" in str(info.value)
+
 
 class TestCorpusInvariants:
     def test_duplicate_author_rejected(self):

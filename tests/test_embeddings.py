@@ -96,6 +96,27 @@ class TestTrainSkipgram:
         with pytest.raises(ValueError):
             EmbeddingConfig(initial_lr=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", 2.5),
+            ("dim", True),
+            ("window", 1.0),
+            ("negatives", 2.0),
+            ("epochs", "3"),
+            ("min_count", 2.0),
+            ("seed", 1.5),
+            ("initial_lr", float("nan")),
+            ("initial_lr", float("inf")),
+            ("initial_lr", True),
+            ("subsample", -1),
+            ("subsample", float("nan")),
+        ],
+    )
+    def test_bad_field_type_or_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EmbeddingConfig(**{field: value})
+
 
 class TestWord2vecFormat:
     def test_save_load_roundtrip(self, tmp_path, rng):
@@ -107,6 +128,17 @@ class TestWord2vecFormat:
         back = load_embeddings(path, vocab)
         np.testing.assert_array_equal(back.matrix, tm.matrix)
         assert back.meta["coverage"] == 1.0
+
+    @pytest.mark.parametrize(
+        "terms, dims",
+        [(["a", "b"], 0), (["a", ""], 2), (["a", "b c"], 2), (["a\u2028b"], 2)],
+    )
+    def test_save_refuses_what_reader_rejects(self, tmp_path, terms, dims):
+        tm = TermMatrix("EMBEDDING", terms, np.zeros((len(terms), dims)))
+        path = tmp_path / "vec.txt"
+        with pytest.raises(ValueError):
+            save_embeddings(tm, path)
+        assert not path.exists()
 
     def test_partial_coverage(self, tmp_path):
         path = tmp_path / "vec.txt"
