@@ -11,13 +11,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary
-from .representations import _fmt, _row_l2_normalize, count_matrix
+from .representations import _ContainerReader, _fmt, _row_l2_normalize, _write_container, count_matrix
 
 __all__ = [
     "BOW_WEIGHTINGS",
@@ -246,51 +245,36 @@ def predict(model: SvmModel, X) -> list[str]:
     return [model.categories[int(i)] for i in dec.argmax(axis=1)]
 
 
+_SVM_MAGIC = "svm-model 1"
+
+
 def save_svm_model(model: SvmModel, path) -> None:
     """Textual model container; weights at 17 significant digits (exact round-trip)."""
     standardized = model.feature_mean is not None
-    lines = [
-        "svm-model 1",
-        "categories " + json.dumps(model.categories),
-        "C " + _fmt(model.C),
-        f"n_features {model.n_features}",
-        f"standardized {int(standardized)}",
-        "meta " + json.dumps(model.meta, sort_keys=True),
-    ]
-    if standardized:
-        lines.append(" ".join(_fmt(v) for v in model.feature_mean))
-        lines.append(" ".join(_fmt(v) for v in model.feature_scale))
-    for row in model.weights:
-        lines.append(" ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {
+        "categories": json.dumps(model.categories),
+        "C": _fmt(model.C),
+        "n_features": model.n_features,
+        "standardized": int(standardized),
+        "meta": json.dumps(model.meta, sort_keys=True),
+    }
+    rows = [model.feature_mean, model.feature_scale] if standardized else []
+    _write_container(path, _SVM_MAGIC, header, [], [*rows, *model.weights])
 
 
 def load_svm_model(path) -> SvmModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "svm-model 1":
-        raise ValueError(f"{path}: not an svm model container")
-    categories = json.loads(lines[1].split(" ", 1)[1])
-    C = float(lines[2].split(" ", 1)[1])
-    n_features = int(lines[3].split(" ", 1)[1])
-    standardized = bool(int(lines[4].split(" ", 1)[1]))
-    meta = json.loads(lines[5].split(" ", 1)[1])
-    pos = 6
-    feature_mean = feature_scale = None
+    """Load a model written by :func:`save_svm_model`."""
+    reader = _ContainerReader(path, _SVM_MAGIC)
+    categories = reader.field("categories", json.loads)
+    reader.check(isinstance(categories, list) and len(categories) > 1, "need a list of 2+ categories")
+    C = reader.field("C", float)
+    n_features = reader.count("n_features")
+    standardized = reader.count("standardized")
+    reader.check(standardized in (0, 1), "standardized must be 0 or 1")
+    meta = reader.field("meta", json.loads)
+    mean = scale = None
     if standardized:
-        # split() reads the empty lines of a zero-feature model as no values.
-        feature_mean = np.array([float(v) for v in lines[pos].split()])
-        feature_scale = np.array([float(v) for v in lines[pos + 1].split()])
-        pos += 2
-    rows = [np.array([float(v) for v in line.split(" ")]) for line in lines[pos:] if line]
-    expected = 1 if len(categories) == 2 else len(categories)
-    if len(rows) != expected:
-        raise ValueError(f"{path}: expected {expected} weight rows, found {len(rows)}")
-    return SvmModel(
-        categories,
-        C,
-        np.vstack(rows),
-        n_features,
-        meta=meta,
-        feature_mean=feature_mean,
-        feature_scale=feature_scale,
-    )
+        mean, scale = reader.rows(2, n_features)
+    weights = reader.rows(1 if len(categories) == 2 else len(categories), n_features + 1)
+    reader.end()
+    return SvmModel(categories, C, weights, n_features, meta, feature_mean=mean, feature_scale=scale)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier, embeddings, evaluation, representations
+from . import embeddings, evaluation, representations
 from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
@@ -19,7 +19,6 @@ from .evaluation import (
     RepConfig,
     attach_significance,
     collection_stats,
-    correlation_map_to_csv,
     cross_validate,
     information_gain,
     report_to_json,
@@ -150,6 +149,8 @@ def _load_run_config(args) -> dict:
     if not corpora:
         raise ConfigError("config must list at least one corpus under 'corpora'")
     for spec in corpora:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"every corpus entry must be a JSON object, got {spec!r}")
         if "path" not in spec or "format" not in spec:
             raise ConfigError("every corpus entry needs 'path' and 'format'")
         spec.setdefault("name", Path(spec["path"]).stem or "corpus")
@@ -157,8 +158,9 @@ def _load_run_config(args) -> dict:
             raise ConfigError(f"unknown corpus format {spec['format']!r}")
         if not Path(spec["path"]).exists():
             raise ConfigError(f"corpus path does not exist: {spec['path']}")
-    if not cfg.get("tasks"):
-        raise ConfigError("config must list at least one task under 'tasks'")
+    tasks = cfg.get("tasks")
+    if not (_string_list(tasks) and tasks):
+        raise ConfigError(f"'tasks' must be a non-empty list of strings, got {tasks!r}")
     if not cfg.get("representations"):
         raise ConfigError("config must list at least one representation")
     cfg.setdefault("output_dir", "reports")
@@ -174,7 +176,13 @@ def _load_run_config(args) -> dict:
     return cfg
 
 
+def _string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def _rep_from_spec(spec: dict) -> RepConfig:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"every representation entry must be a JSON object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind is None:
@@ -210,6 +218,8 @@ def _cmd_run(args) -> int:
     baselines = cfg["evaluation"].get("baselines")
     if baselines is None:
         baselines = ["bow"] if "bow" in rep_ids else []
+    elif not _string_list(baselines):
+        raise ConfigError(f"evaluation baselines must be a list of strings, got {baselines!r}")
     unknown = [b for b in baselines if b not in rep_ids]
     if unknown:
         raise ConfigError(f"significance baselines {unknown} are not configured representations")

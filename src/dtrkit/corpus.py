@@ -89,14 +89,14 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.tasks = frozenset(self.tasks)
-        seen: set[str] = set()
-        for doc in self.docs:
+        self._rows: dict[str, int] = {}
+        for row, doc in enumerate(self.docs):
             if doc.author_id.splitlines() != [doc.author_id]:
                 # Text containers write one id per line; this also rejects "".
                 raise ValueError(f"author_id {doc.author_id!r} must be non-empty and single-line")
-            if doc.author_id in seen:
+            if doc.author_id in self._rows:
                 raise ValueError(f"duplicate author_id {doc.author_id!r}")
-            seen.add(doc.author_id)
+            self._rows[doc.author_id] = row
             missing = self.tasks - doc.labels.keys()
             if missing:
                 raise ValueError(
@@ -127,11 +127,14 @@ class Corpus:
         self._check_task(task)
         return [doc.labels[task] for doc in self.docs]
 
+    def row(self, author_id: str) -> int:
+        """Position of ``author_id`` in :attr:`docs` and in :attr:`counts`."""
+        if author_id not in self._rows:
+            raise KeyError(f"unknown author {author_id!r}")
+        return self._rows[author_id]
+
     def get(self, author_id: str) -> AuthorDoc:
-        for doc in self.docs:
-            if doc.author_id == author_id:
-                return doc
-        raise KeyError(f"unknown author {author_id!r}")
+        return self.docs[self.row(author_id)]
 
     @cached_property
     def terms(self) -> list[str]:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Corpus, Vocabulary
-from .representations import TermMatrix, _finite_real, _fmt, _integer, _positive_int
+from .representations import TermMatrix, _finite_real, _fmt_row, _integer, _parse_row, _positive_int
 
 __all__ = [
     "EmbeddingConfig",
@@ -159,7 +159,7 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(tm.terms)} {tm.dims}\n")
         for term, row in zip(tm.terms, tm.matrix):
-            fh.write(term + " " + " ".join(_fmt(v) for v in row) + "\n")
+            fh.write(term + " " + _fmt_row(row) + "\n")
 
 
 def read_word2vec(path) -> tuple[list[str], np.ndarray]:
@@ -184,10 +184,7 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim + 1} fields, found {len(fields)}"
                 )
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric vector value") from exc
+            rows.append(_parse_row(fields[1:], f"{path}:{lineno}"))
             words.append(fields[0])
     if len(words) != count:
         raise ValueError(f"{path}: header announces {count} vectors, file has {len(words)}")

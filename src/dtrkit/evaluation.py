@@ -66,6 +66,8 @@ class RepConfig:
     rep_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not (self.rep_id is None or isinstance(self.rep_id, str)):
+            raise ValueError(f"rep_id must be a string or null, got {self.rep_id!r}")
         if self.kind not in REP_KINDS:
             raise ValueError(f"representation kind must be one of {REP_KINDS}, got {self.kind!r}")
         if self.kind == "w2v-pretrained" and not self.pretrained_path:
@@ -562,7 +564,7 @@ def top_terms_tfidf(corpus: Corpus, author_id: str, n: int = 10, stopwords=None)
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    row = corpus.counts[corpus.docs.index(corpus.get(author_id))]
+    row = corpus.counts[corpus.row(author_id)]
     stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
     df = corpus.counts.getnnz(axis=0)
     scored = []

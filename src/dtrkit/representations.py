@@ -12,6 +12,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,31 +122,21 @@ def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:
         raise ValueError("vocabulary is empty")
 
 
-def _log_fn(base: float):
-    if base <= 1.0:
-        raise ValueError("log base must be greater than 1")
-    if base == math.e:
-        return np.log
-    scale = 1.0 / math.log(base)
-    return lambda x: np.log(x) * scale
-
-
-def _log_idf(n: np.ndarray, spread: np.ndarray, base: float) -> np.ndarray:
+def _log_idf(n: np.ndarray, spread: np.ndarray) -> np.ndarray:
     """Weigh the term x feature counts ``n`` in place: ``(1 + log n) * log(|V| / spread)``.
 
     Only the positive entries of ``n`` are rewritten; ``|V|`` is ``len(n)``
     and ``spread`` broadcasts against ``n`` (one value per column or per
     row).  A zero spread gives zero weight.
     """
-    log = _log_fn(base)
-    idf = np.where(spread > 0, log(len(n) / np.maximum(spread, 1.0)), 0.0)
+    idf = np.where(spread > 0, np.log(len(n) / np.maximum(spread, 1.0)), 0.0)
     positive = n > 0
-    n[positive] = 1.0 + log(n[positive])
+    n[positive] = 1.0 + np.log(n[positive])
     n *= idf
     return n
 
 
-def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMatrix:
+def build_dor(train: Corpus, vocab: Vocabulary) -> TermMatrix:
     """Represent each term by its weighted occurrence profile over documents.
 
     Entry (i, j) is ``(1 + log c_ij) * log(|V| / N_j)`` when term i occurs
@@ -160,7 +151,7 @@ def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMat
     if empty.size:
         names = [train.docs[i].author_id for i in empty]
         warnings.warn(f"documents without vocabulary terms get all-zero columns: {names}")
-    matrix = _log_idf(counts.T.toarray(), distinct[np.newaxis, :], base)
+    matrix = _log_idf(counts.T.toarray(), distinct[np.newaxis, :])
     return TermMatrix(
         "DOR",
         list(vocab.terms),
@@ -169,12 +160,7 @@ def build_dor(train: Corpus, vocab: Vocabulary, base: float = math.e) -> TermMat
     )
 
 
-def build_tcor(
-    train: Corpus,
-    vocab: Vocabulary,
-    idf_mode: str = "feature-term",
-    base: float = math.e,
-) -> TermMatrix:
+def build_tcor(train: Corpus, vocab: Vocabulary, idf_mode: str = "feature-term") -> TermMatrix:
     """Represent each term by its co-occurrence profile over the vocabulary.
 
     Entry (i, j) is ``(1 + log n_ij) * log(|V| / V_*)`` where ``n_ij`` counts
@@ -195,7 +181,7 @@ def build_tcor(
     np.fill_diagonal(co, 0.0)
     partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
     spread = partners[np.newaxis, :] if idf_mode == "feature-term" else partners[:, np.newaxis]
-    co = _log_idf(co, spread, base)
+    co = _log_idf(co, spread)
     return TermMatrix("TCOR", list(vocab.terms), co, feature_names=list(vocab.terms))
 
 
@@ -274,7 +260,11 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmeans(X: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int = 100) -> np.ndarray:
+_KMEANS_RESTARTS = 20
+_KMEANS_MAX_ITER = 100
+
+
+def _kmeans(X: np.ndarray, k: int, rng) -> np.ndarray:
     """Seeded k-means with kmeans++ init; best inertia over restarts wins.
 
     Cluster ids are canonicalized by first appearance so the labeling is
@@ -285,9 +275,9 @@ def _kmeans(X: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int = 100)
     x_sq = np.einsum("ij,ij->i", X, X)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kmeanspp_init(X, k, rng, x_sq)
-        labels, inertia = _lloyd(X, centers, x_sq, max_iter)
+        labels, inertia = _lloyd(X, centers, x_sq, _KMEANS_MAX_ITER)
         if best_labels is None or inertia < best_inertia - 1e-12:
             best_labels, best_inertia = labels, inertia
     return _canonical_labels(best_labels)
@@ -299,7 +289,6 @@ def cluster_subprofiles(
     vocab: Vocabulary,
     k_per_class: int = 3,
     seed: int = 0,
-    restarts: int = 20,
 ) -> SubprofileAssignment:
     """Split each category of ``task`` into k-means subclasses of its documents.
 
@@ -317,7 +306,7 @@ def cluster_subprofiles(
     for cat in train.categories(task):
         idx = [i for i, doc in enumerate(train.docs) if doc.labels[task] == cat]
         k = min(k_per_class, len(idx))
-        assign = _kmeans(X[idx], k, rng, restarts=restarts)
+        assign = _kmeans(X[idx], k, rng)
         base = len(labels)
         labels.extend(f"{cat}/{j}" for j in range(k))
         for pos, i in enumerate(idx):
@@ -410,7 +399,7 @@ def aggregate_corpus(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_TEXT_MAGIC = "dtr-term-matrix 1"
+_TERM_MATRIX_MAGIC = "dtr-term-matrix 1"
 
 
 def _fmt(value: float) -> str:
@@ -431,100 +420,110 @@ def _finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def save_term_matrix(tm: TermMatrix, path, mode: str = "text") -> None:
-    """Write a term matrix container.
-
-    ``text`` is the exact-round-trip interchange mode (values at 17
-    significant digits, row-major); ``npz`` is a compressed binary mode
-    holding the same dense array.
-    """
-    if mode == "text":
-        _save_text(tm, path)
-    elif mode == "npz":
-        _save_npz(tm, path)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'text' or 'npz')")
+def _fmt_row(row) -> str:
+    """Space-separated values at 17 significant digits, which read back exactly."""
+    return " ".join(_fmt(v) for v in row)
 
 
-def _save_text(tm: TermMatrix, path) -> None:
-    lines = [
-        _TEXT_MAGIC,
-        f"kind {tm.rep_kind}",
-        f"terms {len(tm.terms)}",
-        f"dims {tm.dims}",
-        f"features {0 if tm.feature_names is None else len(tm.feature_names)}",
-        "meta " + json.dumps(tm.meta, sort_keys=True),
-    ]
-    lines.extend(tm.terms)
-    if tm.feature_names is not None:
-        lines.extend(tm.feature_names)
-    for row in tm.matrix:
-        lines.append(" ".join(_fmt(v) for v in row))
+def _parse_row(fields: list[str], where: str) -> list[float]:
+    try:
+        return [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{where}: non-numeric value in {' '.join(fields)!r}") from None
+
+
+def _write_container(path, magic: str, header: dict, labels: list[str], rows) -> None:
+    """Write the text container that term matrices and SVM models share: the
+    ``magic`` line, one ``key value`` line per header field, one line per
+    label, then one :func:`_fmt_row` line per row.  A label that would span
+    lines is refused before the file is created."""
+    for label in labels:
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"label {label!r} contains a line break")
+    lines = [magic, *(f"{key} {value}" for key, value in header.items()), *labels]
+    lines.extend(_fmt_row(row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _save_npz(tm: TermMatrix, path) -> None:
-    header = json.dumps(
-        {
-            "kind": tm.rep_kind,
-            "terms": tm.terms,
-            "feature_names": tm.feature_names,
-            "meta": tm.meta,
-        },
-        sort_keys=True,
-    )
-    # Through an open file, so numpy does not append ".npz" to the path.
-    with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh, header=np.array(header), layout=np.array("dense"), values=tm.matrix
-        )
+class _ContainerReader:
+    """Reads a :func:`_write_container` file front to back: header fields by
+    name, then labels and rows by count and width, then :meth:`end`.  Every
+    malformed, missing or extra line raises ``ValueError`` naming the file
+    and the line."""
+
+    def __init__(self, path, magic: str) -> None:
+        data = Path(path).read_bytes()
+        try:
+            self.lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            line = data[: exc.start].count(b"\n") + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+        self.path, self.pos = path, 0  # pos: number of the line last read
+        self.check(self._next("the first line") == magic, f"first line is not {magic!r}")
+
+    def check(self, ok: bool, message: str) -> None:
+        if not ok:
+            raise ValueError(f"{self.path}:{self.pos}: {message}")
+
+    def _next(self, what: str) -> str:
+        self.pos += 1
+        self.check(self.pos <= len(self.lines), f"file ends where {what} was expected")
+        return self.lines[self.pos - 1]
+
+    def field(self, key: str, parse=str):
+        """Header field ``key``, converted by ``parse``."""
+        name, _, value = self._next(f"header field {key!r}").partition(" ")
+        self.check(name == key, f"expected header field {key!r}, found {name!r}")
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}:{self.pos}: bad {key!r} value: {exc}") from None
+
+    def count(self, key: str) -> int:
+        value = self.field(key, int)
+        self.check(value >= 0, f"{key!r} must not be negative")
+        return value
+
+    def labels(self, n: int) -> list[str]:
+        return [self._next("a label") for _ in range(n)]
+
+    def rows(self, n: int, width: int) -> np.ndarray:
+        values = []
+        for _ in range(n):
+            line = self._next(f"a row of {width} values")
+            fields = line.split(" ") if line else []
+            self.check(len(fields) == width, f"row has {len(fields)} values, expected {width}")
+            values.append(_parse_row(fields, f"{self.path}:{self.pos}"))
+        return np.array(values, dtype=np.float64).reshape(n, width)
+
+    def end(self) -> None:
+        self.pos += 1
+        self.check(self.pos > len(self.lines), "unexpected line after the last row")
+
+
+def save_term_matrix(tm: TermMatrix, path) -> None:
+    """Write a term matrix as text, one row per term at 17 significant
+    digits, so that :func:`load_term_matrix` reads it back exactly."""
+    features = tm.feature_names or []
+    header = {
+        "kind": tm.rep_kind,
+        "terms": len(tm.terms),
+        "dims": tm.dims,
+        "features": len(features),
+        "meta": json.dumps(tm.meta, sort_keys=True),
+    }
+    _write_container(path, _TERM_MATRIX_MAGIC, header, [*tm.terms, *features], tm.matrix)
 
 
 def load_term_matrix(path) -> TermMatrix:
-    """Load a term matrix written by :func:`save_term_matrix` (mode sniffed)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"PK":
-        return _load_npz(path)
-    return _load_text(path)
-
-
-def _load_text(path) -> TermMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _TEXT_MAGIC:
-        raise ValueError(f"{path}: not a textual term-matrix container")
-    kind = lines[1].split(" ", 1)[1]
-    n_terms = int(lines[2].split(" ", 1)[1])
-    dims = int(lines[3].split(" ", 1)[1])
-    n_features = int(lines[4].split(" ", 1)[1])
-    meta = json.loads(lines[5].split(" ", 1)[1])
-    pos = 6
-    terms = lines[pos : pos + n_terms]
-    pos += n_terms
-    feature_names = lines[pos : pos + n_features] if n_features else None
-    pos += n_features
-    matrix = np.zeros((n_terms, dims))
-    for i in range(n_terms):
-        fields = lines[pos + i].split(" ") if dims else []
-        if len(fields) != dims:
-            raise ValueError(f"{path}: row {i} has {len(fields)} values, expected {dims}")
-        matrix[i] = [float(v) for v in fields]
-    return TermMatrix(kind, list(terms), matrix, feature_names=feature_names, meta=meta)
-
-
-def _load_npz(path) -> TermMatrix:
-    with np.load(path, allow_pickle=False) as payload:
-        header = json.loads(str(payload["header"]))
-        layout = str(payload["layout"])
-        if layout != "dense":
-            raise ValueError(f"{path}: unsupported npz layout {layout!r} (expected 'dense')")
-        matrix = payload["values"]
-    return TermMatrix(
-        header["kind"],
-        list(header["terms"]),
-        matrix,
-        feature_names=header["feature_names"],
-        meta=header["meta"],
-    )
+    """Load a term matrix written by :func:`save_term_matrix`."""
+    reader = _ContainerReader(path, _TERM_MATRIX_MAGIC)
+    kind = reader.field("kind")
+    reader.check(kind in TERM_MATRIX_KINDS, f"kind must be one of {TERM_MATRIX_KINDS}")
+    n_terms, dims, n_features = (reader.count(key) for key in ("terms", "dims", "features"))
+    meta = reader.field("meta", json.loads)
+    terms, features = reader.labels(n_terms), reader.labels(n_features)
+    matrix = reader.rows(n_terms, dims)
+    reader.end()
+    return TermMatrix(kind, terms, matrix, feature_names=features, meta=meta)

@@ -257,8 +257,8 @@ def test_leakage_guard(tmp_path):
             )
             a_path = tmp_path / f"fold{fold_idx}_a.txt"
             b_path = tmp_path / f"fold{fold_idx}_b.txt"
-            save_term_matrix(baseline.fold_matrices[fold_idx], a_path, mode="text")
-            save_term_matrix(rerun.fold_matrices[fold_idx], b_path, mode="text")
+            save_term_matrix(baseline.fold_matrices[fold_idx], a_path)
+            save_term_matrix(rerun.fold_matrices[fold_idx], b_path)
             assert a_path.read_bytes() == b_path.read_bytes(), f"fold {fold_idx}"
 
 

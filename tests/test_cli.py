@@ -186,6 +186,27 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert next(iter(embedding)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tasks": "topic"}, "'tasks' must be a non-empty list of strings"),
+            ({"tasks": ["topic", 3]}, "'tasks' must be a non-empty list of strings"),
+            ({"evaluation": {"baselines": "bow"}}, "baselines must be a list of strings"),
+            ({"corpora": ["bow"]}, "corpus entry must be a JSON object"),
+            ({"representations": ["bow"]}, "representation entry must be a JSON object"),
+            ({"representations": [{"kind": "bow", "rep_id": 7}]}, "rep_id must be a string"),
+        ],
+    )
+    def test_malformed_config_shapes_exit_2_before_loading(
+        self, tmp_path, overrides, message, capsys
+    ):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        config, _ = write_config(tmp_path, bad, **overrides)
+        assert main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}

@@ -184,6 +184,16 @@ class TestCorpusInvariants:
         with pytest.raises(KeyError):
             corpus.categories("nope")
 
+    def test_author_lookup(self):
+        corpus = corpus_from_tokens([["a"], ["b"], ["c"]])
+        assert corpus.get("doc002") is corpus.docs[2]
+        sub = corpus.subset([2, 0])
+        assert sub.row("doc000") == 1
+        assert sub.get("doc002") is corpus.docs[2]
+        for lookup, author in ((corpus.get, "nobody"), (corpus.row, "nobody"), (sub.get, "doc001")):
+            with pytest.raises(KeyError, match="unknown author"):
+                lookup(author)
+
 
 class TestBuildVocabulary:
     def test_sorted_by_frequency(self):

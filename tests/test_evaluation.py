@@ -429,8 +429,8 @@ class TestCrossValidate:
             )
             a_path = tmp_path / "a.txt"
             b_path = tmp_path / "b.txt"
-            save_term_matrix(baseline.fold_matrices[fold_idx], a_path, mode="text")
-            save_term_matrix(rerun.fold_matrices[fold_idx], b_path, mode="text")
+            save_term_matrix(baseline.fold_matrices[fold_idx], a_path)
+            save_term_matrix(rerun.fold_matrices[fold_idx], b_path)
             assert a_path.read_bytes() == b_path.read_bytes()
 
     def test_attach_significance_pairs_folds(self):

@@ -1,5 +1,6 @@
-"""Property tests for the corpus count matrix and everything read from it,
-and for the SVM model, term-matrix and word2vec containers."""
+"""Property tests for the tokenizer, the corpus count matrix and everything
+read from it, stratified folds, and the SVM model, term-matrix and word2vec
+containers."""
 
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
+from dtrkit.evaluation import stratified_kfold
 from dtrkit.representations import (
     TERM_MATRIX_KINDS,
     TermMatrix,
@@ -49,6 +51,40 @@ def same_vocabulary(a, b) -> None:
     assert a.terms == b.terms
     assert a.index == b.index
     assert a.freq == b.freq
+
+
+# Any unicode text, plus whitespace, apostrophes, symbol runs and case
+# changes drawn often.
+TEXTS = st.text() | st.text(alphabet="aB' \t\n.€:)+\u00c9\u0130\U0001F600")
+
+
+@given(TEXTS)
+def test_tokenize_keeps_every_non_space_character(text):
+    tokens = tokenize(text)
+    assert all(tok and tok.split() == [tok] for tok in tokens)
+    assert "".join(tokens) == "".join(text.lower().split())
+    assert tokenize(" ".join(tokens)) == tokens
+
+
+@st.composite
+def fold_cases(draw):
+    """Labels from one to four categories and a fold count in [1, n], n drawn often."""
+    categories = "abcd"[: draw(st.integers(1, 4))]
+    labels = draw(st.lists(st.sampled_from(categories), min_size=1, max_size=30))
+    k = draw(st.integers(1, len(labels)) | st.just(len(labels)))
+    return labels, k, draw(st.integers(0, 2**64))
+
+
+@given(fold_cases())
+def test_stratified_folds_partition_and_balance(case):
+    labels, k, seed = case
+    folds = stratified_kfold(labels, k=k, seed=seed)
+    assert len(folds) == k
+    assert sorted(i for fold in folds for i in fold) == list(range(len(labels)))
+    for cat in set(labels):
+        per_fold = [sum(labels[i] == cat for i in fold) for fold in folds]
+        assert max(per_fold) - min(per_fold) <= 1
+    assert stratified_kfold(labels, k=k, seed=seed) == folds
 
 
 @settings(deadline=None)
@@ -197,11 +233,11 @@ def term_matrices(draw):
 
 
 @settings(deadline=None)
-@given(term_matrices(), st.sampled_from(["text", "npz"]))
-def test_term_matrix_round_trips_bit_for_bit(tm, mode):
+@given(term_matrices())
+def test_term_matrix_round_trips_bit_for_bit(tm):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "matrix"
-        save_term_matrix(tm, path, mode=mode)
+        save_term_matrix(tm, path)
         back = load_term_matrix(path)
     assert back.rep_kind == tm.rep_kind
     assert back.terms == tm.terms

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.representations import (
     SubprofileAssignment,
@@ -420,7 +422,7 @@ class TestSerialization:
             meta={"coverage": 0.5},
         )
         path = tmp_path / "m.txt"
-        save_term_matrix(tm, path, mode="text")
+        save_term_matrix(tm, path)
         back = load_term_matrix(path)
         assert back.rep_kind == tm.rep_kind
         assert back.terms == tm.terms
@@ -432,32 +434,65 @@ class TestSerialization:
         vocab = vocab_of(corpus)
         tm = build_dor(corpus, vocab)
         path = tmp_path / "dor.txt"
-        save_term_matrix(tm, path, mode="text")
+        save_term_matrix(tm, path)
         back = load_term_matrix(path)
         assert back.feature_names == tm.feature_names
         np.testing.assert_array_equal(back.matrix, tm.matrix)
 
-    def test_npz_roundtrip(self, tmp_path, rng):
-        corpus = corpus_from_tokens(random_token_lists(rng, max_docs=4))
-        vocab = vocab_of(corpus)
-        for builder in (build_dor, build_tcor):
-            tm = builder(corpus, vocab)
-            path = tmp_path / f"{builder.__name__}.npz"
-            save_term_matrix(tm, path, mode="npz")
-            back = load_term_matrix(path)
-            assert back.rep_kind == tm.rep_kind
-            assert back.terms == tm.terms
-            assert back.feature_names == tm.feature_names
-            np.testing.assert_array_equal(back.matrix, tm.matrix)
+    def test_text_layout(self, tmp_path):
+        tm = TermMatrix("DOR", ["a", "b"], np.array([[0.1, 0.0], [-2.5, 1e-300]]), ["d0", "d1"])
+        path = tmp_path / "m.txt"
+        save_term_matrix(tm, path)
+        assert path.read_bytes() == (
+            b"dtr-term-matrix 1\nkind DOR\nterms 2\ndims 2\nfeatures 2\nmeta {}\n"
+            b"a\nb\nd0\nd1\n0.10000000000000001 0\n-2.5 1e-300\n"
+        )
 
-    def test_npz_layout_other_than_dense_rejected(self, tmp_path):
-        path = tmp_path / "old.npz"
+    def test_label_with_line_break_rejected_before_writing(self, tmp_path):
+        tm = TermMatrix("SSR", ["a\nb"], np.zeros((1, 1)))
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match="line break"):
+            save_term_matrix(tm, path)
+        assert not path.exists()
+
+
+# Each case rewrites the lines of a valid container whose last two lines
+# are rows of three values.
+MALFORMED = {
+    "truncated header": lambda lines: lines[:3],
+    "header key out of place": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+    "missing row": lambda lines: lines[:-1],
+    "extra trailing row": lambda lines: [*lines, lines[-1]],
+    "short row": lambda lines: [*lines[:-1], "1 2"],
+    "long row": lambda lines: [*lines[:-1], "1 2 3 4"],
+    "non-numeric value": lambda lines: [*lines[:-1], "1 x 2"],
+}
+
+
+def write_term_matrix(path):
+    tm = TermMatrix("DOR", ["a", "b"], np.arange(6.0).reshape(2, 3), ["d0", "d1", "d2"])
+    save_term_matrix(tm, path)
+    return load_term_matrix
+
+
+def write_svm_model(path):
+    save_svm_model(SvmModel(["x", "y", "z"], 1.0, np.arange(9.0).reshape(3, 3), 2), path)
+    return load_svm_model
+
+
+@pytest.mark.parametrize("write", [write_term_matrix, write_svm_model])
+@pytest.mark.parametrize("case", [*MALFORMED, "npz file from an earlier version"])
+def test_malformed_container_names_file_and_line(tmp_path, write, case):
+    path = tmp_path / "container.txt"
+    load = write(path)
+    if case in MALFORMED:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(MALFORMED[case](lines)) + "\n", encoding="utf-8")
+    else:
         header = {"kind": "DOR", "terms": ["a"], "feature_names": ["d"], "meta": {}}
-        np.savez_compressed(path, header=np.array(json.dumps(header)), layout=np.array("csr"))
-        with pytest.raises(ValueError, match="layout 'csr'"):
-            load_term_matrix(path)
-
-    def test_unknown_mode(self, tmp_path):
-        tm = TermMatrix("SSR", ["a"], np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="mode"):
-            save_term_matrix(tm, tmp_path / "x", mode="hdf5")
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh, header=np.array(json.dumps(header)), layout=np.array("dense"), values=np.ones((1, 1))
+            )
+    with pytest.raises(ValueError, match=re.escape(str(path)) + r":\d+: "):
+        load(path)
