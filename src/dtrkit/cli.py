@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # An OSError's str() names the file; a KeyError's quotes its message.
+        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -130,7 +131,7 @@ def _load_run_config(args) -> dict:
 
     # Flags override file values.
     if args.corpus:
-        name = Path(args.corpus).stem or "corpus"
+        name = _default_corpus_name(args.corpus)
         cfg["corpora"] = [
             {"name": name, "path": args.corpus, "format": args.format or "jsonl"}
         ]
@@ -153,7 +154,8 @@ def _load_run_config(args) -> dict:
             raise ConfigError(f"every corpus entry must be a JSON object, got {spec!r}")
         if "path" not in spec or "format" not in spec:
             raise ConfigError("every corpus entry needs 'path' and 'format'")
-        spec.setdefault("name", Path(spec["path"]).stem or "corpus")
+        spec.setdefault("name", _default_corpus_name(spec["path"]))
+        _check_file_name_part(spec["name"], "corpus name")
         if spec["format"] not in ("pan-dir", "jsonl"):
             raise ConfigError(f"unknown corpus format {spec['format']!r}")
         if not Path(spec["path"]).exists():
@@ -161,6 +163,8 @@ def _load_run_config(args) -> dict:
     tasks = cfg.get("tasks")
     if not (_string_list(tasks) and tasks):
         raise ConfigError(f"'tasks' must be a non-empty list of strings, got {tasks!r}")
+    for task in tasks:
+        _check_file_name_part(task, "task")
     if not cfg.get("representations"):
         raise ConfigError("config must list at least one representation")
     cfg.setdefault("output_dir", "reports")
@@ -178,6 +182,18 @@ def _load_run_config(args) -> dict:
 
 def _string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _default_corpus_name(path) -> str:
+    stem = Path(path).stem
+    return "corpus" if stem in ("", "..") else stem
+
+
+def _check_file_name_part(value, what: str) -> None:
+    """Report files are named ``<corpus>_<task>_<rep_id>.json``; refuse a
+    part that is not a plain file name before anything runs."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise ConfigError(f"{what} {value!r} cannot be part of a file name")
 
 
 def _rep_from_spec(spec: dict) -> RepConfig:
@@ -202,8 +218,6 @@ def _rep_from_spec(spec: dict) -> RepConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_run_config(args)
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"]
     folds = cfg["evaluation"]["folds"]
     alpha = cfg["evaluation"]["alpha"]
@@ -212,6 +226,11 @@ def _cmd_run(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad classifier config: {exc}") from exc
     reps = [_rep_from_spec(spec) for spec in cfg["representations"]]
+    for rep in reps:
+        if rep.rep_id is not None:
+            _check_file_name_part(rep.rep_id, "rep_id")
+        if rep.kind == "w2v-pretrained" and not Path(rep.pretrained_path).is_file():
+            raise ConfigError(f"pretrained vectors file not found: {rep.pretrained_path}")
     rep_ids = [rep.id for rep in reps]
     if len(set(rep_ids)) != len(rep_ids):
         raise ConfigError(f"representation ids must be unique, got {rep_ids}")
@@ -223,6 +242,8 @@ def _cmd_run(args) -> int:
     unknown = [b for b in baselines if b not in rep_ids]
     if unknown:
         raise ConfigError(f"significance baselines {unknown} are not configured representations")
+    out_dir = Path(cfg["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict[str, dict[str, dict[str, float]]] = {}
     for spec in cfg["corpora"]:

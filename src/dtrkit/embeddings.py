@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .corpus import Corpus, Vocabulary
@@ -16,12 +17,18 @@ __all__ = [
     "train_skipgram",
     "save_embeddings",
     "read_word2vec",
+    "project_embeddings",
     "load_embeddings",
     "nearest_neighbors",
 ]
 
 # Linear learning-rate decay bottoms out at initial_lr * this ratio.
 LR_FLOOR_RATIO = 1e-4
+
+# (center, context) pairs per minibatch.  Pairs are built this many center
+# tokens at a time, so at most about BATCH_PAIRS * 2 * window of them are
+# held at once.
+BATCH_PAIRS = 256
 
 
 @dataclass
@@ -54,15 +61,103 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
+def _epoch_stream(sentences, keep, window: int, rng):
+    """One epoch's tokens, sentence lengths and window spans.
+
+    Each sentence is first subsampled (token i survives with probability
+    ``keep[i]``; ``keep=None`` keeps every token), then every surviving token
+    draws a span in 1..window.  Two draws per sentence, in sentence order.
+    """
+    kept, spans = [], []
+    for sent in sentences:
+        if keep is not None:
+            sent = sent[rng.random(len(sent)) < keep[sent]]
+        kept.append(sent)
+        spans.append(rng.integers(1, window + 1, size=len(sent)))
+    lengths = np.array([len(s) for s in kept], dtype=np.int64)
+    return np.concatenate(kept), lengths, np.concatenate(spans)
+
+
+def _pair_batches(lengths: np.ndarray, spans: np.ndarray, window: int):
+    """Yield the skip-gram pairs of a token stream as ``(centers, contexts)``
+    position arrays of ``BATCH_PAIRS`` pairs each (the last may be shorter).
+
+    ``lengths`` cuts the stream into sentences; a context lies within
+    ``spans[center]`` of its center and in the same sentence.  Pairs come
+    center by center, each center's contexts left to right.
+    """
+    ends = np.cumsum(lengths)
+    first = np.repeat(ends - lengths, lengths)  # sentence bounds per token
+    last = np.repeat(ends, lengths)
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    carry = (np.empty(0, dtype=np.int64),) * 2
+    for lo in range(0, len(spans), BATCH_PAIRS):
+        pos = np.arange(lo, min(lo + BATCH_PAIRS, len(spans)))
+        ctx = pos[:, None] + offsets
+        inside = (
+            (np.abs(offsets) <= spans[pos, None])
+            & (ctx >= first[pos, None])
+            & (ctx < last[pos, None])
+        )
+        rows, cols = np.nonzero(inside)
+        centers = np.concatenate((carry[0], pos[rows]))
+        contexts = np.concatenate((carry[1], ctx[rows, cols]))
+        cut = len(centers) - len(centers) % BATCH_PAIRS
+        for b in range(0, cut, BATCH_PAIRS):
+            yield centers[b : b + BATCH_PAIRS], contexts[b : b + BATCH_PAIRS]
+        carry = centers[cut:], contexts[cut:]
+    if len(carry[0]):
+        yield carry
+
+
+def _scatter_add(w, rows: np.ndarray, coef: np.ndarray, values: np.ndarray) -> None:
+    """``w[rows[b, k]] += coef[b, k] * values[b]`` for every b, k, summed in
+    (b, k) order, as one sparse product over the distinct rows touched."""
+    touched, inverse = np.unique(rows, return_inverse=True)
+    n, k = rows.shape
+    spread = sp.csc_matrix(
+        (coef.ravel(), inverse.ravel(), np.arange(0, n * k + 1, k)), shape=(len(touched), n)
+    )
+    w[touched] += spread @ values
+
+
+def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
+    """One minibatch of skip-gram negative-sampling SGD, in place.
+
+    Row b pairs ``centers[b]`` with ``contexts[b]`` (label 1) and with each
+    of ``negs[b]`` (label 0; a negative equal to the context has weight 0).
+    Every gradient is taken at the parameters before the batch; they are
+    then added to ``w_out`` and ``w_in`` in row order.  Returns the batch's
+    summed loss.
+    """
+    targets = np.concatenate((contexts[:, None], negs), axis=1)
+    weight = np.concatenate((np.ones((len(contexts), 1)), negs != contexts[:, None]), axis=1)
+    labels = np.zeros(targets.shape)
+    labels[:, 0] = 1.0
+    v = w_in[centers]
+    u = w_out[targets]
+    scores = np.einsum("bd,bkd->bk", v, u)
+    grad = (labels - expit(scores)) * weight * lr
+    grad_in = np.einsum("bk,bkd->bd", grad, u)
+    _scatter_add(w_out, targets, grad, v)
+    _scatter_add(w_in, centers[:, None], np.ones((len(centers), 1)), grad_in)
+    loss = _log_sigmoid(scores[:, 0]).sum() + (weight[:, 1:] * _log_sigmoid(-scores[:, 1:])).sum()
+    return -float(loss)
+
+
 def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | None = None) -> TermMatrix:
     """Train skip-gram vectors with negative sampling over ``corpus``.
 
-    Single-threaded SGD: every (center, context) pair within a random window
-    of width 1..window contributes one positive update and ``negatives``
-    draws from the unigram distribution raised to 3/4.  The learning rate
-    decays linearly to a floor of ``initial_lr / 10000``.  Terms rarer than
-    ``min_count`` keep an all-zero row.  Deterministic for a fixed seed;
-    per-epoch mean pair loss lands in ``meta["objective"]``.
+    Minibatched SGD (Ji et al. 2016, arXiv:1604.04661): every (center,
+    context) pair within a random window of width 1..window is a positive
+    example, with ``negatives`` draws from the unigram distribution raised
+    to 3/4 as negative examples.  Pairs are taken center by center in
+    batches of ``BATCH_PAIRS``; each batch computes all its gradients at
+    the same parameters and then applies them.  The learning rate is one
+    per batch, decayed linearly over the tokens to a floor of
+    ``initial_lr * LR_FLOOR_RATIO``.  Terms rarer than ``min_count`` keep an
+    all-zero row.  Deterministic for a fixed seed; the per-epoch mean pair
+    loss lands in ``meta["objective"]``.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
@@ -80,9 +175,9 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
         if len(ids) > 1:
             sentences.append(np.asarray(ids, dtype=np.int64))
 
-    noise = np.where(trainable, freqs, 0.0) ** 0.75
-    total_noise = noise.sum()
-    cum = np.cumsum(noise / total_noise) if total_noise > 0 else None
+    noise = np.where(trainable, freqs, 0.0) ** 0.75  # sums to 0 only with no sentences
+    cum = np.cumsum(noise / max(noise.sum(), 1e-300))
+    cum[-1] = 1.0  # every draw in [0, 1) lands on a term
 
     keep = None
     if cfg.subsample > 0:
@@ -102,37 +197,15 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
     for _ in range(cfg.epochs):
         loss_sum = 0.0
         n_pairs = 0
-        for sent in sentences:
-            if keep is not None:
-                sent = sent[rng.random(len(sent)) < keep[sent]]
-            length = len(sent)
-            for pos in range(length):
-                center = int(sent[pos])
-                lr = max(cfg.initial_lr * (1.0 - processed / (total_words + 1)), lr_floor)
-                processed += 1
-                span = int(rng.integers(1, cfg.window + 1))
-                for cpos in range(max(0, pos - span), min(length, pos + span + 1)):
-                    if cpos == pos:
-                        continue
-                    ctx = int(sent[cpos])
-                    if cum is not None and cfg.negatives:
-                        negs = np.searchsorted(cum, rng.random(cfg.negatives))
-                        negs = negs[negs != ctx]
-                    else:
-                        negs = np.empty(0, dtype=np.int64)
-                    targets = np.concatenate(([ctx], negs))
-                    labels = np.zeros(targets.size)
-                    labels[0] = 1.0
-                    v = w_in[center].copy()
-                    u = w_out[targets]
-                    scores = u @ v
-                    grad = (labels - expit(scores)) * lr
-                    np.add.at(w_out, targets, grad[:, np.newaxis] * v[np.newaxis, :])
-                    w_in[center] += grad @ u
-                    loss_sum -= float(
-                        _log_sigmoid(scores[0]) + _log_sigmoid(-scores[1:]).sum()
-                    )
-                    n_pairs += 1
+        if sentences:
+            tokens, lengths, spans = _epoch_stream(sentences, keep, cfg.window, rng)
+            for centers, contexts in _pair_batches(lengths, spans, cfg.window):
+                done = (processed + centers[0]) / (total_words + 1)
+                lr = max(cfg.initial_lr * (1.0 - done), lr_floor)
+                negs = np.searchsorted(cum, rng.random((len(centers), cfg.negatives)))
+                loss_sum += _sgns_step(w_in, w_out, tokens[centers], tokens[contexts], negs, lr)
+                n_pairs += len(centers)
+            processed += len(tokens)
         objective.append(loss_sum / max(n_pairs, 1))
 
     w_in[~trainable] = 0.0
@@ -150,12 +223,16 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     """Write vectors in the textual word2vec format: 'count dim' header, then
     one line per term (token followed by the vector values).  Refuses, before
     creating the file, what :func:`read_word2vec` would reject: zero
-    dimensions, or a term that is empty or holds whitespace."""
+    dimensions, a term that is empty or holds whitespace, or a vector that
+    holds NaN or infinity."""
     if tm.dims < 1:
         raise ValueError(f"word2vec vectors need at least one dimension, got {tm.dims}")
     for term in tm.terms:
         if term.split() != [term]:
             raise ValueError(f"term {term!r} must be non-empty and free of whitespace")
+    bad = np.flatnonzero(~np.isfinite(tm.matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the vector of term {tm.terms[bad[0]]!r} holds a non-finite value")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(tm.terms)} {tm.dims}\n")
         for term, row in zip(tm.terms, tm.matrix):
@@ -163,7 +240,9 @@ def save_embeddings(tm: TermMatrix, path) -> None:
 
 
 def read_word2vec(path) -> tuple[list[str], np.ndarray]:
-    """Parse a textual word2vec file into (words, matrix)."""
+    """Parse a textual word2vec file into (words, matrix).  A malformed
+    line, or a value that is not a finite number, raises ``ValueError``
+    naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -191,16 +270,15 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
     return words, np.asarray(rows, dtype=np.float64).reshape(len(words), dim)
 
 
-def load_embeddings(path, vocab: Vocabulary) -> TermMatrix:
-    """Project a pretrained vector file onto ``vocab``.
+def project_embeddings(words: list[str], matrix, vocab: Vocabulary, source) -> TermMatrix:
+    """Project vectors ``matrix`` (row i belongs to ``words[i]``) onto ``vocab``.
 
-    Vocabulary terms missing from the file get zero rows; the fraction found
-    is reported in ``meta["coverage"]``.  Duplicate file entries keep the
-    first occurrence.
+    Vocabulary terms missing from ``words`` get zero rows; the fraction found
+    is reported in ``meta["coverage"]``.  A word listed twice keeps its first
+    row.  ``source`` names where the vectors came from, in ``meta["source"]``.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    words, matrix = read_word2vec(path)
     out = np.zeros((len(vocab), matrix.shape[1]))
     filled = np.zeros(len(vocab), dtype=bool)
     found = 0
@@ -214,8 +292,15 @@ def load_embeddings(path, vocab: Vocabulary) -> TermMatrix:
         "EMBEDDING",
         list(vocab.terms),
         out,
-        meta={"coverage": found / len(vocab), "source": str(path)},
+        meta={"coverage": found / len(vocab), "source": str(source)},
     )
+
+
+def load_embeddings(path, vocab: Vocabulary) -> TermMatrix:
+    """Read a pretrained vector file and project it onto ``vocab`` with
+    :func:`project_embeddings`."""
+    words, matrix = read_word2vec(path)
+    return project_embeddings(words, matrix, vocab, source=path)
 
 
 def nearest_neighbors(tm: TermMatrix, term: str, k: int) -> list[tuple[str, float]]:

@@ -228,7 +228,19 @@ def _fold_seed(seed: int, fold_idx: int) -> int:
     return int(state % (2**63))
 
 
-def _build_term_matrix(train: Corpus, task: str, vocab: Vocabulary, rep: RepConfig, fold_seed: int):
+def _pretrained_vectors(corpus: Corpus, path) -> tuple[list[str], np.ndarray]:
+    """The rows of the vector file ``path`` whose word occurs in ``corpus``.
+    Every fold vocabulary is drawn from these words, so projecting these rows
+    gives what projecting the whole file would."""
+    words, matrix = embeddings.read_word2vec(path)
+    known = set(corpus.terms)
+    rows = [i for i, word in enumerate(words) if word in known]
+    return [words[i] for i in rows], matrix[rows]
+
+
+def _build_term_matrix(
+    train: Corpus, task: str, vocab: Vocabulary, rep: RepConfig, fold_seed: int, vectors
+):
     if rep.kind == "dor":
         return representations.build_dor(train, vocab)
     if rep.kind == "tcor":
@@ -243,17 +255,17 @@ def _build_term_matrix(train: Corpus, task: str, vocab: Vocabulary, rep: RepConf
         cfg = dataclasses.replace(cfg, seed=fold_seed)
         return embeddings.train_skipgram(train, vocab, cfg)
     if rep.kind == "w2v-pretrained":
-        return embeddings.load_embeddings(rep.pretrained_path, vocab)
+        return embeddings.project_embeddings(*vectors, vocab, source=rep.pretrained_path)
     raise ValueError(f"unknown representation kind {rep.kind!r}")
 
 
-def _fold_features(train, test, task, vocab, rep, clf, fold_seed):
+def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
     if rep.kind == "bow":
         idf = classifier.compute_idf(train, vocab) if clf.bow_weighting == "tfidf" else None
         x_train = classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf)
         x_test = classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf)
         return x_train, x_test, None
-    tm = _build_term_matrix(train, task, vocab, rep, fold_seed)
+    tm = _build_term_matrix(train, task, vocab, rep, fold_seed, vectors)
     x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
     x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
     return x_train, x_test, tm
@@ -273,12 +285,16 @@ def cross_validate(
 
     Every fold rebuilds the vocabulary and all representation state from the
     training documents only, so no test text, count, or label can leak into
-    the features.  All randomness flows from ``seed``.
+    the features.  All randomness flows from ``seed``.  A pretrained
+    vector file is read once, before the first fold.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
     all_labels = corpus.labels(task)
     folds = stratified_kfold(all_labels, k=k, seed=seed)
+    vectors = None
+    if rep.kind == "w2v-pretrained":
+        vectors = _pretrained_vectors(corpus, rep.pretrained_path)
     results: list[FoldResult] = []
     matrices: list = []
     for fold_idx, test_idx in enumerate(folds):
@@ -288,7 +304,9 @@ def cross_validate(
         test = corpus.subset(test_idx)
         fold_seed = _fold_seed(seed, fold_idx)
         vocab = build_vocabulary(train, rep.max_terms)
-        x_train, x_test, tm = _fold_features(train, test, task, vocab, rep, clf, fold_seed)
+        x_train, x_test, tm = _fold_features(
+            train, test, task, vocab, rep, clf, fold_seed, vectors
+        )
         model = classifier.train_linear_svm(
             x_train,
             [d.labels[task] for d in train.docs],

@@ -71,6 +71,10 @@ class TermMatrix:
         if not self.feature_names:
             # An empty list labels nothing; the text container stores it as None.
             self.feature_names = None
+        elif len(self.feature_names) != self.dims:
+            raise ValueError(
+                f"{len(self.feature_names)} feature names for {self.dims} dimensions"
+            )
         self._index = {t: i for i, t in enumerate(self.terms)}
 
     @property
@@ -426,22 +430,32 @@ def _fmt_row(row) -> str:
 
 
 def _parse_row(fields: list[str], where: str) -> list[float]:
+    """The numbers of one row; ``where`` (``file:line``) prefixes the error
+    raised for a value that is not a number or not finite."""
     try:
-        return [float(v) for v in fields]
+        values = [float(v) for v in fields]
     except ValueError:
         raise ValueError(f"{where}: non-numeric value in {' '.join(fields)!r}") from None
+    if not all(map(math.isfinite, values)):
+        bad = next(f for f, v in zip(fields, values) if not math.isfinite(v))
+        raise ValueError(f"{where}: non-finite value {bad!r}")
+    return values
 
 
 def _write_container(path, magic: str, header: dict, labels: list[str], rows) -> None:
     """Write the text container that term matrices and SVM models share: the
     ``magic`` line, one ``key value`` line per header field, one line per
     label, then one :func:`_fmt_row` line per row.  A label that would span
-    lines is refused before the file is created."""
+    lines, or a row holding NaN or infinity, is refused before the file is
+    created."""
     for label in labels:
         if "".join(label.splitlines()) != label:
             raise ValueError(f"label {label!r} contains a line break")
     lines = [magic, *(f"{key} {value}" for key, value in header.items()), *labels]
-    lines.extend(_fmt_row(row) for row in rows)
+    for i, row in enumerate(rows):
+        if not np.isfinite(row).all():
+            raise ValueError(f"row {i} holds a non-finite value")
+        lines.append(_fmt_row(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -522,6 +536,7 @@ def load_term_matrix(path) -> TermMatrix:
     kind = reader.field("kind")
     reader.check(kind in TERM_MATRIX_KINDS, f"kind must be one of {TERM_MATRIX_KINDS}")
     n_terms, dims, n_features = (reader.count(key) for key in ("terms", "dims", "features"))
+    reader.check(n_features in (0, dims), f"'features' must be 0 or 'dims' ({dims})")
     meta = reader.field("meta", json.loads)
     terms, features = reader.labels(n_terms), reader.labels(n_features)
     matrix = reader.rows(n_terms, dims)

@@ -191,3 +191,42 @@ def best_two_partition_sse(points: np.ndarray) -> frozenset[frozenset[int]]:
         elif abs(sse - best_sse) <= 1e-12 and best is not None:
             best.add(key)
     return best
+
+
+def naive_skipgram_pairs(lengths: list[int], spans: list[int]) -> list[tuple[int, int]]:
+    """(center, context) stream positions of every skip-gram pair: sentences
+    of ``lengths`` tokens laid end to end, token p reaching ``spans[p]`` to
+    each side within its sentence; center by center, contexts left to right."""
+    pairs = []
+    start = 0
+    for length in lengths:
+        for pos in range(length):
+            span = spans[start + pos]
+            for cpos in range(length):
+                if cpos != pos and abs(cpos - pos) <= span:
+                    pairs.append((start + pos, start + cpos))
+        start += length
+    return pairs
+
+
+def naive_sgns_batch(w_in, w_out, centers, contexts, negs, lr: float):
+    """One skip-gram negative-sampling minibatch, pair by pair: every
+    gradient at the parameters before the batch; a negative equal to its
+    pair's context is skipped.  Returns the updated copies and the summed
+    loss."""
+    new_in, new_out = w_in.copy(), w_out.copy()
+    loss = 0.0
+    for b in range(len(centers)):
+        v = w_in[centers[b]]
+        targets = [(int(contexts[b]), 1.0)] + [
+            (int(n), 0.0) for n in negs[b] if n != contexts[b]
+        ]
+        for target, label in targets:
+            u = w_out[target]
+            score = float(u @ v)
+            sigma = 1.0 / (1.0 + math.exp(-score))
+            g = (label - sigma) * lr
+            new_out[target] += g * v
+            new_in[centers[b]] += g * u
+            loss -= math.log(sigma) if label else math.log(1.0 - sigma)
+    return new_in, new_out, loss

@@ -207,6 +207,71 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"representations": [{"kind": "bow", "rep_id": "a/b"}]}, "rep_id 'a/b'"),
+            ({"representations": [{"kind": "bow", "rep_id": ""}]}, "rep_id ''"),
+            ({"representations": [{"kind": "bow", "rep_id": ".."}]}, "rep_id '..'"),
+            ({"representations": [{"kind": "bow", "rep_id": "."}]}, "rep_id '.'"),
+            ({"tasks": ["a/b"]}, "task 'a/b'"),
+        ],
+    )
+    def test_bad_file_name_part_exits_2_before_loading(
+        self, tmp_path, overrides, message, capsys
+    ):
+        # The corpus is malformed, so any loading would fail with exit 1.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        config, _ = write_config(tmp_path, bad, **overrides)
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"{message} cannot be part of a file name" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("name", ["x/y", "", ".", ".."])
+    def test_bad_corpus_name_exits_2_before_loading(self, tmp_path, name, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")
+        corpora = [{"name": name, "path": str(bad), "format": "jsonl"}]
+        config, _ = write_config(tmp_path, bad, corpora=corpora)
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"corpus name {name!r} cannot be part" in capsys.readouterr().err
+
+    def test_corpus_path_without_stem_gets_default_name(self, tmp_path, monkeypatch):
+        # A pan-dir corpus given as ".." has no usable stem.
+        truth = []
+        for i in range(10):
+            gender = "female" if i % 2 else "male"
+            truth.append(f"a{i}:::{gender}:::25-34")
+            words = "alpha beta" if i % 2 else "gamma delta"
+            (tmp_path / f"a{i}.txt").write_text(f"{words} w{i}", encoding="utf-8")
+        (tmp_path / "truth.txt").write_text("\n".join(truth) + "\n", encoding="utf-8")
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        code = main(
+            ["run", "--corpus", "..", "--format", "pan-dir", "--task", "gender", "--rep", "bow",
+             "--seed", "1", "--out", "reports"]
+        )
+        assert code == 0
+        assert (tmp_path / "work" / "reports" / "corpus_gender_bow.json").is_file()
+
+    def test_missing_vectors_file_exits_2_before_loading(
+        self, tmp_path, synthetic_jsonl, monkeypatch, capsys
+    ):
+        import dtrkit.cli
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("a corpus was loaded")
+
+        monkeypatch.setattr(dtrkit.cli, "load_corpus", no_loading)
+        missing = tmp_path / "absent" / "vectors.txt"
+        reps = [{"kind": "dor"}, {"kind": "w2v-pretrained", "pretrained_path": str(missing)}]
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, representations=reps, evaluation={"baselines": []}
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"pretrained vectors file not found: {missing}" in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}
@@ -383,6 +448,16 @@ class TestEmbedCommands:
         )
         assert code == 2
         assert not vectors.exists()
+
+    def test_unwritable_output_prints_whole_os_error(self, tmp_path, synthetic_jsonl, capsys):
+        vectors = tmp_path / "absent" / "vectors.txt"
+        code = main(
+            ["embed-train", "--corpus", str(synthetic_jsonl), "--out", str(vectors),
+             "--seed", "3", "--dim", "4", "--epochs", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(vectors) in err
 
     def test_unknown_term_exits_2(self, tmp_path):
         vectors = tmp_path / "v.txt"

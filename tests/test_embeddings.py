@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from dtrkit import embeddings
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.embeddings import (
     EmbeddingConfig,
     load_embeddings,
     nearest_neighbors,
+    project_embeddings,
     read_word2vec,
     save_embeddings,
     train_skipgram,
@@ -13,6 +15,7 @@ from dtrkit.embeddings import (
 from dtrkit.representations import TermMatrix
 
 from conftest import corpus_from_tokens
+from oracles import naive_sgns_batch, naive_skipgram_pairs
 
 
 def identical_context_corpus(repeats=40):
@@ -80,6 +83,17 @@ class TestTrainSkipgram:
         tm = train_skipgram(corpus, vocab, cfg)
         np.testing.assert_array_equal(tm.row("rare"), 0.0)
 
+    @pytest.mark.parametrize("field, value", [("negatives", 0), ("subsample", 1e-3)])
+    def test_trains_with_setting(self, field, value):
+        corpus = identical_context_corpus(repeats=10)
+        vocab = build_vocabulary(corpus)
+        cfg = EmbeddingConfig(dim=8, epochs=3, seed=4, **{field: value})
+        first = train_skipgram(corpus, vocab, cfg)
+        second = train_skipgram(corpus, vocab, cfg)
+        assert np.isfinite(first.matrix).all()
+        assert first.matrix.any()
+        np.testing.assert_array_equal(first.matrix, second.matrix)
+
     def test_empty_vocabulary_rejected(self):
         corpus = corpus_from_tokens([["a"]])
         vocab = build_vocabulary(corpus)
@@ -118,6 +132,72 @@ class TestTrainSkipgram:
             EmbeddingConfig(**{field: value})
 
 
+def all_pairs(lengths, spans, window):
+    batches = list(embeddings._pair_batches(np.array(lengths), np.array(spans), window))
+    sizes = [len(centers) for centers, _ in batches]
+    assert all(size == embeddings.BATCH_PAIRS for size in sizes[:-1])
+    assert all(len(c) == len(x) for c, x in batches)
+    return [(int(c), int(x)) for centers, contexts in batches for c, x in zip(centers, contexts)]
+
+
+class TestSkipgramPairs:
+    @pytest.mark.parametrize("batch", [256, 7, 1])
+    @pytest.mark.parametrize(
+        "lengths",
+        # Shorter than the window, length 2, length 1, and runs of such sentences.
+        [[3], [2], [1], [2, 2, 2], [4, 1, 2], [30], [9, 1, 14, 2, 3]],
+        ids=str,
+    )
+    def test_pairs_match_naive_loops(self, monkeypatch, rng, lengths, batch):
+        monkeypatch.setattr(embeddings, "BATCH_PAIRS", batch)
+        window = 5
+        spans = rng.integers(1, window + 1, size=sum(lengths)).tolist()
+        assert all_pairs(lengths, spans, window) == naive_skipgram_pairs(lengths, spans)
+
+    def test_full_spans_pair_every_neighbour(self):
+        window = 2
+        assert all_pairs([4], [2, 2, 2, 2], window) == [
+            (0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)
+        ]
+
+    def test_subsampled_stream_pairs_match_naive_loops(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "BATCH_PAIRS", 5)
+        sentences = [np.array([0, 1, 0, 2, 0, 3, 0]), np.array([1, 0]), np.array([0, 0, 0, 4])]
+        keep = np.array([0.3, 1.0, 1.0, 1.0, 1.0])  # term 0 is usually dropped
+        window = 3
+        tokens, lengths, spans = embeddings._epoch_stream(
+            sentences, keep, window, np.random.default_rng(6)
+        )
+        assert lengths.sum() == len(tokens) == len(spans) < sum(map(len, sentences))
+        assert ((spans >= 1) & (spans <= window)).all()
+        start = 0
+        for sent, length in zip(sentences, lengths):  # each sentence keeps a subsequence
+            kept = iter(sent.tolist())
+            assert all(t in kept for t in tokens[start : start + length].tolist())
+            start += length
+        assert all_pairs(lengths, spans, window) == naive_skipgram_pairs(
+            lengths.tolist(), spans.tolist()
+        )
+
+
+class TestSgnsStep:
+    @pytest.mark.parametrize("negatives", [0, 3])
+    def test_matches_pair_by_pair_oracle(self, rng, negatives):
+        n_terms, dim, batch = 6, 4, 9
+        w_in = rng.normal(size=(n_terms, dim))
+        w_out = rng.normal(size=(n_terms, dim))
+        centers = rng.integers(0, n_terms, size=batch)
+        contexts = rng.integers(0, n_terms, size=batch)
+        negs = rng.integers(0, n_terms, size=(batch, negatives))
+        if negatives:
+            negs[0, 1] = contexts[0]  # a negative equal to the context counts for nothing
+        want_in, want_out, want_loss = naive_sgns_batch(w_in, w_out, centers, contexts, negs, 0.1)
+        loss = embeddings._sgns_step(w_in, w_out, centers, contexts, negs, 0.1)
+        np.testing.assert_allclose(w_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_out, want_out, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+
+
 class TestWord2vecFormat:
     def test_save_load_roundtrip(self, tmp_path, rng):
         corpus = corpus_from_tokens([["a", "b", "c"]])
@@ -139,6 +219,31 @@ class TestWord2vecFormat:
         with pytest.raises(ValueError):
             save_embeddings(tm, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_vector(self, tmp_path, bad):
+        tm = TermMatrix("EMBEDDING", ["a", "b"], np.array([[1.0, 2.0], [3.0, bad]]))
+        path = tmp_path / "vec.txt"
+        with pytest.raises(ValueError, match="'b' holds a non-finite value"):
+            save_embeddings(tm, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"2 2\nfoo 1 2\nbar {value} 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":3: non-finite value '{value}'"):
+            read_word2vec(path)
+
+    def test_projection_keeps_first_row_and_names_source(self):
+        vocab = build_vocabulary(corpus_from_tokens([["foo", "bar", "novel"]]))
+        words = ["bar", "zzz", "foo", "bar"]
+        matrix = np.arange(8.0).reshape(4, 2)
+        tm = project_embeddings(words, matrix, vocab, source="vec.txt")
+        np.testing.assert_array_equal(tm.row("bar"), [0.0, 1.0])
+        np.testing.assert_array_equal(tm.row("foo"), [4.0, 5.0])
+        np.testing.assert_array_equal(tm.row("novel"), [0.0, 0.0])
+        assert tm.meta == {"coverage": 2 / 3, "source": "vec.txt"}
 
     def test_partial_coverage(self, tmp_path):
         path = tmp_path / "vec.txt"

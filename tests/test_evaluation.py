@@ -22,7 +22,7 @@ from dtrkit.evaluation import (
     top_terms_tfidf,
     wilcoxon_signed_rank,
 )
-from dtrkit.representations import save_term_matrix
+from dtrkit.representations import TermMatrix, save_term_matrix
 from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens
@@ -403,6 +403,51 @@ class TestCrossValidate:
         rep = RepConfig(kind="w2v-pretrained", pretrained_path=str(path))
         report = cross_validate(corpus, "topic", rep, k=3, seed=1)
         assert report.folds[0].rep_dims == 6
+
+    def pretrained_rep(self, corpus, tmp_path):
+        """Vectors for a seeded share of the corpus terms, listed twice with
+        different values, among distractor words no fold can use."""
+        from dtrkit.embeddings import save_embeddings
+
+        rng = np.random.default_rng(3)
+        words = [t for t in corpus.terms if rng.random() < 0.8]
+        words = [*words, *(f"zz{i}" for i in range(40)), *words[:5]]
+        tm = TermMatrix("EMBEDDING", words, rng.normal(size=(len(words), 4)))
+        path = tmp_path / "vec.txt"
+        save_embeddings(tm, path)
+        return RepConfig(kind="w2v-pretrained", pretrained_path=str(path))
+
+    def test_w2v_pretrained_folds_equal_load_embeddings(self, tmp_path):
+        from dtrkit.corpus import build_vocabulary
+        from dtrkit.embeddings import load_embeddings
+
+        corpus = self.small_corpus()
+        rep = self.pretrained_rep(corpus, tmp_path)
+        report = cross_validate(corpus, "topic", rep, k=4, seed=7, keep_fold_matrices=True)
+        folds = stratified_kfold(corpus.labels("topic"), k=4, seed=7)
+        for test_idx, got in zip(folds, report.fold_matrices):
+            train = corpus.subset([i for i in range(len(corpus)) if i not in set(test_idx)])
+            want = load_embeddings(rep.pretrained_path, build_vocabulary(train, rep.max_terms))
+            assert got.terms == want.terms
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.meta == want.meta
+            assert 0 < got.meta["coverage"] < 1
+
+    def test_w2v_pretrained_file_read_once(self, tmp_path, monkeypatch):
+        from dtrkit import embeddings
+
+        corpus = self.small_corpus()
+        rep = self.pretrained_rep(corpus, tmp_path)
+        calls = []
+        read = embeddings.read_word2vec
+
+        def counting_read(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(embeddings, "read_word2vec", counting_read)
+        cross_validate(corpus, "topic", rep, k=5, seed=3)
+        assert calls == [rep.pretrained_path]
 
     @pytest.mark.filterwarnings("ignore:document .* has no in-vocabulary tokens")
     @pytest.mark.parametrize("kind", ["dor", "tcor", "ssr"])

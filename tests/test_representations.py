@@ -448,6 +448,25 @@ class TestSerialization:
             b"a\nb\nd0\nd1\n0.10000000000000001 0\n-2.5 1e-300\n"
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_before_writing(self, tmp_path, bad):
+        tm = TermMatrix("TCOR", ["a", "b"], np.array([[0.0, 1.0], [bad, 0.0]]), ["a", "b"])
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match="row 1 holds a non-finite value"):
+            save_term_matrix(tm, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["weights", "feature_mean"])
+    def test_non_finite_svm_model_rejected_before_writing(self, tmp_path, field):
+        model = SvmModel(
+            ["x", "y"], 1.0, np.zeros((1, 3)), 2, feature_mean=np.zeros(2), feature_scale=np.ones(2)
+        )
+        getattr(model, field)[0] = np.nan
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match="non-finite value"):
+            save_svm_model(model, path)
+        assert not path.exists()
+
     def test_label_with_line_break_rejected_before_writing(self, tmp_path):
         tm = TermMatrix("SSR", ["a\nb"], np.zeros((1, 1)))
         path = tmp_path / "m.txt"
@@ -466,6 +485,8 @@ MALFORMED = {
     "short row": lambda lines: [*lines[:-1], "1 2"],
     "long row": lambda lines: [*lines[:-1], "1 2 3 4"],
     "non-numeric value": lambda lines: [*lines[:-1], "1 x 2"],
+    "non-finite value": lambda lines: [*lines[:-1], "1 nan 2"],
+    "infinite value": lambda lines: [*lines[:-1], "1 2 -inf"],
 }
 
 
@@ -496,3 +517,21 @@ def test_malformed_container_names_file_and_line(tmp_path, write, case):
             )
     with pytest.raises(ValueError, match=re.escape(str(path)) + r":\d+: "):
         load(path)
+
+
+def test_features_count_other_than_dims_names_file_and_line(tmp_path):
+    path = tmp_path / "container.txt"
+    write_term_matrix(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    features = lines.index("features 3")
+    lines[features] = "features 2"
+    del lines[lines.index("d2")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{features + 1}: 'features' must be 0")):
+        load_term_matrix(path)
+
+
+@pytest.mark.parametrize("names", [["d0"], ["d0", "d1", "d2"]])
+def test_feature_names_must_label_every_dimension(names):
+    with pytest.raises(ValueError, match=f"{len(names)} feature names for 2 dimensions"):
+        TermMatrix("DOR", ["a"], np.zeros((1, 2)), feature_names=names)
