@@ -195,6 +195,17 @@ class TestRun:
             ({"corpora": ["bow"]}, "corpus entry must be a JSON object"),
             ({"representations": ["bow"]}, "representation entry must be a JSON object"),
             ({"representations": [{"kind": "bow", "rep_id": 7}]}, "rep_id must be a string"),
+            # Reports are named <corpus>_<task>_<rep_id>.json.
+            *(
+                ({"representations": [{"kind": "bow", "rep_id": bad}]}, f"rep_id {bad!r} cannot")
+                for bad in ("a/b", "", ".", "..")
+            ),
+            *(
+                ({"corpora": [{"name": bad, "path": "c.jsonl", "format": "jsonl"}]},
+                 f"corpus name {bad!r} cannot")
+                for bad in ("x/y", "", ".", "..")
+            ),
+            ({"tasks": ["a/b"]}, "task 'a/b' cannot be part of a file name"),
         ],
     )
     def test_malformed_config_shapes_exit_2_before_loading(
@@ -206,36 +217,6 @@ class TestRun:
         config, _ = write_config(tmp_path, bad, **overrides)
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"representations": [{"kind": "bow", "rep_id": "a/b"}]}, "rep_id 'a/b'"),
-            ({"representations": [{"kind": "bow", "rep_id": ""}]}, "rep_id ''"),
-            ({"representations": [{"kind": "bow", "rep_id": ".."}]}, "rep_id '..'"),
-            ({"representations": [{"kind": "bow", "rep_id": "."}]}, "rep_id '.'"),
-            ({"tasks": ["a/b"]}, "task 'a/b'"),
-        ],
-    )
-    def test_bad_file_name_part_exits_2_before_loading(
-        self, tmp_path, overrides, message, capsys
-    ):
-        # The corpus is malformed, so any loading would fail with exit 1.
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("{not json\n", encoding="utf-8")
-        config, _ = write_config(tmp_path, bad, **overrides)
-        assert main(["run", "--config", str(config)]) == 2
-        assert f"{message} cannot be part of a file name" in capsys.readouterr().err
-        assert not (tmp_path / "reports").exists()
-
-    @pytest.mark.parametrize("name", ["x/y", "", ".", ".."])
-    def test_bad_corpus_name_exits_2_before_loading(self, tmp_path, name, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("{not json\n", encoding="utf-8")
-        corpora = [{"name": name, "path": str(bad), "format": "jsonl"}]
-        config, _ = write_config(tmp_path, bad, corpora=corpora)
-        assert main(["run", "--config", str(config)]) == 2
-        assert f"corpus name {name!r} cannot be part" in capsys.readouterr().err
 
     def test_corpus_path_without_stem_gets_default_name(self, tmp_path, monkeypatch):
         # A pan-dir corpus given as ".." has no usable stem.
@@ -271,6 +252,7 @@ class TestRun:
         )
         assert main(["run", "--config", str(config)]) == 2
         assert f"pretrained vectors file not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
