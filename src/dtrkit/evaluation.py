@@ -311,7 +311,6 @@ def cross_validate(
             x_train,
             [d.labels[task] for d in train.docs],
             C=clf.C,
-            seed=fold_seed,
             standardize=clf.standardize,
         )
         preds = classifier.predict(model, x_test)

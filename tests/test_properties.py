@@ -1,6 +1,6 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
-read from it, stratified folds, and the SVM model, term-matrix and word2vec
-containers."""
+read from it, stratified folds, the SVM solver, and the SVM model,
+term-matrix and word2vec containers."""
 
 import tempfile
 from pathlib import Path
@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model
+from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
 from dtrkit.evaluation import stratified_kfold
@@ -172,6 +172,30 @@ def svm_models(draw):
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def svm_problems(draw):
+    """A seeded training set (every category present) and a row permutation."""
+    n = draw(st.integers(4, 40))
+    n_categories = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, draw(st.integers(1, 6))))
+    codes = np.concatenate([np.arange(n_categories), rng.integers(0, n_categories, n)])[:n]
+    labels = [f"c{k}" for k in codes]
+    C = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    return X, labels, C, draw(st.permutations(range(n)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(svm_problems())
+def test_svm_weights_do_not_depend_on_row_order(problem):
+    X, labels, C, order = problem
+    model = train_linear_svm(X, labels, C=C)
+    permuted = train_linear_svm(X[order], [labels[i] for i in order], C=C)
+    assert permuted.categories == model.categories
+    for w, v in zip(model.weights, permuted.weights):
+        assert np.linalg.norm(w - v) <= 1e-10 * np.linalg.norm(w)
 
 
 @settings(deadline=None)
