@@ -55,13 +55,13 @@ def build_bow_matrix(
     """
     if weighting not in BOW_WEIGHTINGS:
         raise ValueError(f"weighting must be one of {BOW_WEIGHTINGS}, got {weighting!r}")
-    mat = count_matrix(docs, vocab)
-    if weighting == "boolean":
-        mat.data = np.ones_like(mat.data)
-    elif weighting == "tfidf":
+    if weighting == "tfidf":
         if idf is None:
             raise ValueError("tfidf weighting requires idf computed on the training fold")
-        mat = _row_l2_normalize(mat.multiply(idf[np.newaxis, :]).tocsr())
+        return _row_l2_normalize(count_matrix(docs, vocab).multiply(idf[np.newaxis, :]).tocsr())
+    mat = count_matrix(docs, vocab).copy()  # the shared count matrix is read-only
+    if weighting == "boolean":
+        mat.data[:] = 1.0
     return mat
 
 

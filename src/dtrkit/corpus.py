@@ -89,6 +89,12 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.tasks = frozenset(self.tasks)
+        # Derived state, kept while the documents stay as they are: the
+        # latest (vocabulary, count matrix) pair of
+        # representations.count_matrix, and the latest fold partition of
+        # evaluation.cross_validate with its per-fold records.
+        self._count_memo: tuple | None = None
+        self._folds: tuple | None = None
         self._rows: dict[str, int] = {}
         for row, doc in enumerate(self.docs):
             if doc.author_id.splitlines() != [doc.author_id]:

@@ -271,6 +271,39 @@ def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
     return x_train, x_test, tm
 
 
+@dataclass
+class _Fold:
+    """One fold of a partition: its training and test documents and, per
+    ``max_terms``, the vocabulary of the training documents."""
+
+    train: Corpus
+    test: Corpus
+    vocabs: dict = field(default_factory=dict)
+
+    def vocabulary(self, max_terms: int | None) -> Vocabulary:
+        if max_terms not in self.vocabs:
+            self.vocabs[max_terms] = build_vocabulary(self.train, max_terms)
+        return self.vocabs[max_terms]
+
+
+def _folds(corpus: Corpus, task: str, k: int, seed: int) -> list[_Fold]:
+    """The folds of the ``(task, k, seed)`` partition of ``corpus``.
+
+    The corpus keeps the latest partition, so every representation run on
+    it shares one split, one vocabulary per ``max_terms`` and, through
+    :func:`representations.count_matrix`, one count matrix per fold side.
+    """
+    key = (task, k, seed)
+    if corpus._folds is None or corpus._folds[0] != key:
+        folds = []
+        for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
+            test_set = set(test_idx)
+            train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
+            folds.append(_Fold(corpus.subset(train_idx), corpus.subset(test_idx)))
+        corpus._folds = (key, folds)
+    return corpus._folds[1]
+
+
 def cross_validate(
     corpus: Corpus,
     task: str,
@@ -283,27 +316,26 @@ def cross_validate(
 ) -> EvalReport:
     """Stratified k-fold evaluation of one representation on one task.
 
-    Every fold rebuilds the vocabulary and all representation state from the
+    Each fold's vocabulary and all representation state come from its
     training documents only, so no test text, count, or label can leak into
-    the features.  All randomness flows from ``seed``.  A pretrained
-    vector file is read once, before the first fold.
+    the features.  The split, the vocabulary and the count matrices are built
+    once per partition and kept on the corpus, so further representations
+    run over the same ``(task, k, seed)`` reuse them.  All randomness flows
+    from ``seed``.  A pretrained vector file is read once, before the first
+    fold.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
-    all_labels = corpus.labels(task)
-    folds = stratified_kfold(all_labels, k=k, seed=seed)
+    folds = _folds(corpus, task, k, seed)
     vectors = None
     if rep.kind == "w2v-pretrained":
         vectors = _pretrained_vectors(corpus, rep.pretrained_path)
     results: list[FoldResult] = []
     matrices: list = []
-    for fold_idx, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
-        train = corpus.subset(train_idx)
-        test = corpus.subset(test_idx)
+    for fold_idx, fold in enumerate(folds):
+        train, test = fold.train, fold.test
         fold_seed = _fold_seed(seed, fold_idx)
-        vocab = build_vocabulary(train, rep.max_terms)
+        vocab = fold.vocabulary(rep.max_terms)
         x_train, x_test, tm = _fold_features(
             train, test, task, vocab, rep, clf, fold_seed, vectors
         )

@@ -107,15 +107,27 @@ def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
     """Sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
 
     The columns of ``corpus.counts`` whose terms are in ``vocab`` (which may
-    come from any corpus), relabelled with vocabulary ids.
+    come from any corpus), relabelled with vocabulary ids.  The corpus keeps
+    the latest result and hands the same read-only matrix out again while
+    the same ``vocab`` object is passed, so every builder of a fold reads one
+    matrix per fold side.
     """
+    memo = corpus._count_memo
+    if memo is not None and memo[0] is vocab:
+        return memo[1]
     ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
     present = np.flatnonzero(ids >= 0)
-    sel = corpus.counts[:, present]
-    mat = sp.csr_matrix(
-        (sel.data, ids[present][sel.indices], sel.indptr), shape=(len(corpus), len(vocab))
-    )
-    mat.sort_indices()
+    order = present[np.argsort(ids[present])]  # corpus columns in vocabulary order
+    sel = corpus.counts.tocsc()[:, order]
+    # Column v of the result is the corpus column of vocabulary term v, or
+    # empty; converting the column-major gather back gives sorted rows.
+    lengths = np.zeros(len(vocab), dtype=np.int64)
+    lengths[ids[order]] = np.diff(sel.indptr)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    mat = sp.csc_matrix((sel.data, sel.indices, indptr), shape=(len(corpus), len(vocab))).tocsr()
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.flags.writeable = False
+    corpus._count_memo = (vocab, mat)
     return mat
 
 
@@ -135,7 +147,8 @@ def _log_idf(n: np.ndarray, spread: np.ndarray) -> np.ndarray:
     """
     idf = np.where(spread > 0, np.log(len(n) / np.maximum(spread, 1.0)), 0.0)
     positive = n > 0
-    n[positive] = 1.0 + np.log(n[positive])
+    np.log(n, out=n, where=positive)
+    n += positive
     n *= idf
     return n
 
@@ -176,11 +189,9 @@ def build_tcor(train: Corpus, vocab: Vocabulary, idf_mode: str = "feature-term")
     if idf_mode not in TCOR_IDF_MODES:
         raise ValueError(f"idf_mode must be one of {TCOR_IDF_MODES}, got {idf_mode!r}")
     _require_nonempty(train, vocab)
-    binary = count_matrix(train, vocab)
-    binary.data = np.ones_like(binary.data)
     # Nearly every pair of terms shares some document, so the matrix is
     # stored dense; a dense BLAS product of 0/1 counts is exact.
-    bd = binary.toarray()
+    bd = (count_matrix(train, vocab).toarray() > 0).astype(np.float64)
     co = bd.T @ bd
     np.fill_diagonal(co, 0.0)
     partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
@@ -388,14 +399,14 @@ def aggregate_corpus(
         raise ValueError(f"weighting must be one of {AGG_WEIGHTINGS}, got {weighting!r}")
     if list(tm.terms) != list(vocab.terms):
         raise ValueError("term matrix was built on a different vocabulary")
-    weights = count_matrix(docs, vocab)
-    if weighting == "tf-weighted":
-        weights.data = 1.0 + np.log(weights.data)
+    counts = count_matrix(docs, vocab)  # shared and read-only
+    data = counts.data if weighting == "mean" else 1.0 + np.log(counts.data)
+    weights = sp.csr_matrix((data, counts.indices, counts.indptr), shape=counts.shape)
     totals = np.asarray(weights.sum(axis=1)).ravel()
     for i in np.flatnonzero(totals == 0):
         author = docs.docs[i].author_id
         warnings.warn(f"document {author!r} has no in-vocabulary tokens; zero vector")
-    weights.data /= np.repeat(totals, np.diff(weights.indptr))
+    weights.data = data / np.repeat(totals, np.diff(counts.indptr))
     return weights @ tm.matrix
 
 

@@ -23,6 +23,19 @@ def naive_counts(doc_tokens: list[list[str]]) -> tuple[list[str], np.ndarray]:
     return terms, out
 
 
+def naive_count_matrix(doc_tokens: list[list[str]], vocab_terms: list[str]) -> np.ndarray:
+    """Dense document x vocabulary counts, read from one dict per document;
+    a vocabulary term no document holds gets a zero column."""
+    out = np.zeros((len(doc_tokens), len(vocab_terms)))
+    for d, tokens in enumerate(doc_tokens):
+        counts: dict[str, int] = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        for v, term in enumerate(vocab_terms):
+            out[d, v] = counts.get(term, 0)
+    return out
+
+
 def naive_dor(doc_tokens: list[list[str]], vocab_terms: list[str]) -> np.ndarray:
     """Double-loop document-occurrence weights over explicit token lists."""
     n_terms = len(vocab_terms)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtrkit.corpus import AuthorDoc, Corpus
+from dtrkit.corpus import AuthorDoc, Corpus, load_corpus, save_jsonl
 from dtrkit.evaluation import (
     ClfConfig,
     EvalReport,
@@ -503,6 +503,94 @@ class TestCrossValidate:
         assert lines[0] == "representation,fold0,fold1,fold2,mean"
         assert lines[1].startswith("bow,")
         assert lines[2].startswith("dor,")
+
+
+class TestSharedFolds:
+    """Representations run on one corpus share its split, vocabularies and
+    count matrices; none of them may change what another one sees."""
+
+    KINDS = ("bow", "dor", "tcor", "ssr")
+
+    @staticmethod
+    def corpus_file(tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_jsonl(make_synthetic_corpus(authors_per_category=10, tokens_per_doc=50, seed=4), path)
+        return path
+
+    @staticmethod
+    def outputs(corpus, rep, clf=None, k=4, seed=5):
+        """The report and the fold term matrices: the predictions of a
+        separable corpus can survive a change of the features, the term
+        matrices cannot."""
+        report = cross_validate(corpus, "topic", rep, clf, k=k, seed=seed, keep_fold_matrices=True)
+        matrices = [
+            tm and (tm.terms, tm.feature_names, tm.matrix.tobytes()) for tm in report.fold_matrices
+        ]
+        return report_to_json(report), matrices
+
+    @pytest.mark.parametrize("order", [KINDS, KINDS[::-1]], ids=["forward", "reverse"])
+    @pytest.mark.parametrize(
+        "bow_weighting, weighting", [("tf", "mean"), ("boolean", "tf-weighted"), ("tfidf", "mean")]
+    )
+    def test_shared_sequence_equals_fresh_corpus_per_kind(
+        self, tmp_path, order, bow_weighting, weighting
+    ):
+        path = self.corpus_file(tmp_path)
+        clf = ClfConfig(bow_weighting=bow_weighting)
+        corpus = load_corpus(path)
+        reps = {kind: RepConfig(kind=kind, weighting=weighting) for kind in order}
+        shared = {kind: self.outputs(corpus, reps[kind], clf) for kind in order}
+        for kind in order:
+            assert self.outputs(load_corpus(path), reps[kind], clf) == shared[kind], kind
+
+    def test_changed_partition_or_max_terms_equals_fresh_corpus(self, tmp_path):
+        path = self.corpus_file(tmp_path)
+        corpus = load_corpus(path)
+        runs = [(5, 4, None), (6, 4, None), (5, 4, 30), (5, 3, None), (5, 4, None)]
+        for seed, k, max_terms in runs:
+            rep = RepConfig(kind="dor", max_terms=max_terms)
+            shared = self.outputs(corpus, rep, k=k, seed=seed)
+            alone = self.outputs(load_corpus(path), rep, k=k, seed=seed)
+            assert alone == shared, (seed, k, max_terms)
+
+    def test_fold_state_built_once_per_partition(self, tmp_path, monkeypatch):
+        from dtrkit import classifier, evaluation, representations
+
+        vocab_calls = []
+        build_vocabulary = evaluation.build_vocabulary
+
+        def counting_build_vocabulary(corpus, max_terms):
+            vocab_calls.append(max_terms)
+            return build_vocabulary(corpus, max_terms)
+
+        matrices = []  # every count matrix handed out, kept alive so ids stay unique
+        count_matrix = representations.count_matrix
+
+        def recording_count_matrix(corpus, vocab):
+            matrices.append(count_matrix(corpus, vocab))
+            return matrices[-1]
+
+        monkeypatch.setattr(evaluation, "build_vocabulary", counting_build_vocabulary)
+        for module in (representations, classifier):
+            monkeypatch.setattr(module, "count_matrix", recording_count_matrix)
+        corpus = load_corpus(self.corpus_file(tmp_path))
+        clf = ClfConfig(bow_weighting="tfidf")
+        for kind in self.KINDS:
+            cross_validate(corpus, "topic", RepConfig(kind=kind), clf, k=4, seed=5)
+        assert vocab_calls == [10_000] * 4
+        # One matrix per fold side: train and test of each of the 4 folds.
+        assert len({id(m) for m in matrices}) == 8
+        assert len(matrices) > 8
+        cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=30), k=4, seed=5)
+        assert vocab_calls == [10_000] * 4 + [30] * 4
+        assert len({id(m) for m in matrices}) == 16
+        cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=30), k=4, seed=5)
+        assert len(vocab_calls) == 8
+        assert len({id(m) for m in matrices}) == 16
+        # Another partition replaces the kept one.
+        cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=30), k=4, seed=6)
+        assert len(vocab_calls) == 12
+        assert len({id(m) for m in matrices}) == 24
 
 
 class TestStopwordOverride:

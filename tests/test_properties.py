@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
-from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary, tokenize
+from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
 from dtrkit.evaluation import stratified_kfold
 from dtrkit.representations import (
@@ -21,7 +21,7 @@ from dtrkit.representations import (
     save_term_matrix,
 )
 
-from oracles import naive_counts
+from oracles import naive_count_matrix, naive_counts
 
 # Few characters, so tokens often sort between one another ("a" < "a'" <
 # "ab" < "b"); symbol runs and an emoji stand in for non-word tokens.
@@ -121,6 +121,24 @@ def test_subset_equals_fresh_corpus(case):
             if term in v.index:
                 want[:, v.index[term]] = table[:, j]
         np.testing.assert_array_equal(got, want)
+
+
+@settings(deadline=None)
+@given(corpora(), st.lists(TOKENS | st.sampled_from(["absent", "zz"]), unique=True, max_size=10))
+def test_count_matrix_matches_dict_oracle(case, vocab_terms):
+    # Vocabulary terms in any order, some of them in no document.
+    token_lists, idx, _ = case
+    corpus = corpus_of(token_lists).subset(idx)
+    index = {t: i for i, t in enumerate(vocab_terms)}
+    vocab = Vocabulary(list(vocab_terms), index, dict.fromkeys(vocab_terms, 1))
+    got = count_matrix(corpus, vocab)
+    assert got.shape == (len(idx), len(vocab_terms))
+    assert got.has_sorted_indices
+    for start, stop in zip(got.indptr[:-1], got.indptr[1:]):
+        assert (np.diff(got.indices[start:stop]) > 0).all()
+    want = naive_count_matrix([token_lists[i] for i in idx], vocab_terms)
+    np.testing.assert_array_equal(got.toarray(), want)
+    assert count_matrix(corpus, vocab) is got
 
 
 @settings(deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model
+from dtrkit.classifier import SvmModel, build_bow_matrix, load_svm_model, save_svm_model
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.representations import (
     SubprofileAssignment,
@@ -33,6 +33,32 @@ SSR_RAW_EXAMPLE = 0.2630344058337938  # log2(1 + 2/10)
 
 def vocab_of(corpus, max_terms=None):
     return build_vocabulary(corpus, max_terms)
+
+
+class TestCountMatrix:
+    def test_one_read_only_matrix_per_vocabulary_object(self):
+        corpus = corpus_from_tokens([["a", "b", "a"], ["c"]])
+        vocab = vocab_of(corpus)
+        counts = count_matrix(corpus, vocab)
+        assert count_matrix(corpus, vocab) is counts
+        for array in (counts.data, counts.indices, counts.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        # An equal vocabulary is another object: the matrix is built again.
+        again = count_matrix(corpus, vocab_of(corpus))
+        assert again is not counts
+        np.testing.assert_array_equal(again.toarray(), counts.toarray())
+
+    def test_builders_leave_the_shared_matrix_unchanged(self):
+        corpus = corpus_from_tokens([["a", "b", "a"], ["c", "c", "b"]], labels=["x", "y"])
+        vocab = vocab_of(corpus)
+        want = count_matrix(corpus, vocab).toarray()
+        tcor = build_tcor(corpus, vocab)
+        for weighting in ("mean", "tf-weighted"):
+            aggregate_corpus(corpus, tcor, vocab, weighting)
+        for weighting in ("tf", "boolean"):
+            build_bow_matrix(corpus, vocab, weighting).data[:] = 5.0
+        np.testing.assert_array_equal(count_matrix(corpus, vocab).toarray(), want)
 
 
 class TestBuildDor:
