@@ -113,8 +113,10 @@ def _bpp(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, tol: float, max_epochs
     iterations, only the one with the largest index does (Murty's rule),
     which makes the method finite as Q is positive definite (Kim & Park
     2011).  It also stops at a feasible iterate whose violation is below
-    ``tol``.  Returns the dual variables and the run record without the
-    duality gap, which needs the primal weights.
+    ``tol``.  When it pivoted, its last solve gets one step of iterative
+    refinement, ``b += solve(G_FF, y_F - G_FF b)``, as ``alpha`` did.  Returns
+    the dual variables and the run record without the duality gap, which
+    needs the primal weights.
     """
     free = np.ones(len(y), dtype=bool)
     fewest, backup, epochs = len(y) + 1, 3, 1
@@ -133,9 +135,14 @@ def _bpp(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, tol: float, max_epochs
             swap[: np.flatnonzero(swap)[-1]] = False
         free ^= swap
         idx = np.flatnonzero(free)
+        G_FF = G[np.ix_(idx, idx)]
+        b = np.linalg.solve(G_FF, y[idx])
         alpha = np.zeros(len(y))
-        alpha[idx] = y[idx] * np.linalg.solve(G[np.ix_(idx, idx)], y[idx])
+        alpha[idx] = y[idx] * b
         epochs += 1
+    if epochs > 1:
+        # One step of iterative refinement on the last free-set solve.
+        alpha[idx] = y[idx] * (b + np.linalg.solve(G_FF, y[idx] - G_FF @ b))
     alpha = np.maximum(alpha, 0.0)
     grad = y * (G @ (alpha * y)) - 1.0
     viol = float(np.where(alpha > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max())
@@ -196,8 +203,11 @@ def train_linear_svm(
     G.flat[:: len(G) + 1] += 1.0 / (2.0 * C)
     machines = categories[:1] if len(categories) == 2 else categories
     ys = np.where(np.array(labels) == np.array(machines)[:, np.newaxis], 1.0, -1.0)
-    # Every machine starts with all points free: one solve, one column per machine.
-    starts = ys * np.linalg.solve(G, ys.T).T
+    # Every machine starts with all points free: one solve, one column per
+    # machine, and one step of iterative refinement for all of them.
+    starts = np.linalg.solve(G, ys.T)
+    starts += np.linalg.solve(G, ys.T - G @ starts)
+    starts = ys * starts.T
     weights = np.zeros((len(machines), aug.shape[1]))
     runs = []
     for m, (cat, ybin) in enumerate(zip(machines, ys)):

@@ -23,7 +23,6 @@ from .evaluation import (
     information_gain,
     report_to_json,
     reports_to_accuracy_csv,
-    top_terms_tfidf,
 )
 from .representations import _finite_real, _integer
 
@@ -349,21 +348,19 @@ def _cmd_top_terms(args) -> int:
 
     # Rank the occurrence-profile features (one per author) by how much the
     # binary above/below-median split of their values tells us about labels.
-    gains = [
-        (information_gain(doc_vectors[:, j], labels), tm.feature_names[j])
-        for j in range(doc_vectors.shape[1])
-    ]
-    by_author = {author: gain for gain, author in gains}
+    gains = information_gain(doc_vectors, labels).tolist()
+    by_author = dict(zip(tm.feature_names, gains))
     label_of = {doc.author_id: doc.labels[args.task] for doc in corpus.docs}
+    top_terms = evaluation._tfidf_ranker(corpus)
 
     csv_lines = ["category,author,information_gain,rank,term,tfidf"]
     for cat in corpus.categories(args.task):
         ranked = sorted(
-            (author for _, author in gains if label_of[author] == cat),
+            (author for author in tm.feature_names if label_of[author] == cat),
             key=lambda author: (-by_author[author], author),
         )[: args.count]
         for author in ranked:
-            words = top_terms_tfidf(corpus, author, n=args.words)
+            words = top_terms(author, args.words)
             joined = ", ".join(term for term, _ in words)
             print(f"{cat} | {author} (ig={by_author[author]:.4f}): {joined}")
             for rank, (term, score) in enumerate(words, start=1):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -282,7 +281,13 @@ class _Fold:
 
     def vocabulary(self, max_terms: int | None) -> Vocabulary:
         if max_terms not in self.vocabs:
-            self.vocabs[max_terms] = build_vocabulary(self.train, max_terms)
+            vocab = build_vocabulary(self.train, max_terms)
+            for side in (self.train, self.test):
+                representations.count_matrix(side, vocab)
+                # The count matrix holds what the fold reads; the corpus
+                # rebuilds its own counts from its documents if asked again.
+                del side.counts
+            self.vocabs[max_terms] = vocab
         return self.vocabs[max_terms]
 
 
@@ -604,6 +609,33 @@ def correlation_map_to_csv(table: dict[str, dict[str, float]]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _tfidf_ranker(corpus: Corpus, stopwords=None):
+    """``top(author_id, n)``: the author's top-n terms by tf-idf over ``corpus``.
+
+    The idf of every term and the mask of reportable terms are computed
+    once here, so ranking many authors of one corpus shares them.
+    """
+    stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
+    counts = corpus.counts
+    idf = np.array([math.log(len(corpus) / df) for df in counts.getnnz(axis=0).tolist()])
+    shown = np.array([t not in stop and not _is_punct_token(t) for t in corpus.terms], dtype=bool)
+
+    def top(author_id: str, n: int) -> list[tuple[str, float]]:
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        row = corpus.row(author_id)
+        span = slice(counts.indptr[row], counts.indptr[row + 1])
+        cols = counts.indices[span]
+        keep = shown[cols]
+        cols = cols[keep]
+        scores = counts.data[span][keep] * idf[cols]
+        # Columns follow the sorted terms, so the column breaks score ties by term.
+        order = np.lexsort((cols, -scores))[:n]
+        return [(corpus.terms[j], s) for j, s in zip(cols[order].tolist(), scores[order].tolist())]
+
+    return top
+
+
 def top_terms_tfidf(corpus: Corpus, author_id: str, n: int = 10, stopwords=None) -> list[tuple[str, float]]:
     """The author's top-n terms by tf-idf over the corpus.
 
@@ -611,38 +643,52 @@ def top_terms_tfidf(corpus: Corpus, author_id: str, n: int = 10, stopwords=None)
     stopwords and pure-punctuation tokens are excluded from the report and
     ties break lexicographically.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    row = corpus.counts[corpus.row(author_id)]
-    stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
-    df = corpus.counts.getnnz(axis=0)
-    scored = []
-    for j, count in zip(row.indices, row.data):
-        term = corpus.terms[j]
-        if term in stop or _is_punct_token(term):
-            continue
-        scored.append((term, float(count * math.log(len(corpus) / df[j]))))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:n]
+    return _tfidf_ranker(corpus, stopwords)(author_id, n)
 
 
-def information_gain(values, labels) -> float:
-    """Entropy reduction of the labels after a binary split of ``values`` at
-    their median (strictly above vs the rest)."""
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each row of label counts.  Each row is summed as a
+    vector of its nonzero counts sorted ascending, so its value does not
+    depend on how many other labels exist."""
+    ordered = np.sort(np.where(counts > 0, counts, np.inf), axis=1)
+    present = np.isfinite(ordered)
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = np.divide(ordered, totals, out=np.zeros_like(ordered), where=present)
+    terms = probs * np.log2(probs, out=np.zeros_like(probs), where=present)
+    widths = present.sum(axis=1)
+    out = np.zeros(len(counts))
+    for width in np.unique(widths):
+        rows = widths == width
+        out[rows] = -terms[rows, :width].sum(axis=1)
+    return out
+
+
+def information_gain(values, labels):
+    """Entropy reduction of the labels after a binary split of each feature
+    at its median.
+
+    ``values`` is one feature (1-D, returns a float) or a ``(docs x
+    features)`` matrix (returns one gain per column).  A value counts as
+    above the median only if it exceeds it by more than 1e-12 times the
+    column's largest |value|, so values that tie with the median to within
+    rounding fall on the same side whatever order they were summed in.
+    """
     values = np.asarray(values, dtype=np.float64)
     labels = [str(lab) for lab in labels]
-    if values.size != len(labels) or values.size == 0:
-        raise ValueError("values and labels must be non-empty and equal-length")
-
-    def entropy(subset: list[str]) -> float:
-        counts = np.array(sorted(Counter(subset).values()), dtype=np.float64)
-        probs = counts / counts.sum()
-        return float(-(probs * np.log2(probs)).sum())
-
-    gain = entropy(labels)
-    above = values > float(np.median(values))
-    for side in (above, ~above):
-        if side.any():
-            members = [labels[i] for i in np.flatnonzero(side)]
-            gain -= (side.sum() / values.size) * entropy(members)
-    return float(max(gain, 0.0))
+    if values.ndim not in (1, 2) or values.shape[0] != len(labels) or values.size == 0:
+        raise ValueError("values must be 1-D or 2-D, non-empty, with one row per label")
+    cols = values.reshape(len(labels), -1)
+    names, label_ids = np.unique(labels, return_inverse=True)
+    onehot = np.eye(len(names))[label_ids]
+    tolerance = 1e-12 * np.abs(cols).max(axis=0)
+    above = (cols - np.median(cols, axis=0) > tolerance).astype(np.float64)
+    total = onehot.sum(axis=0)
+    upper = above.T @ onehot  # per feature, the label counts above the median
+    n, n_upper = len(labels), upper.sum(axis=1)
+    gain = (
+        _entropies(total[np.newaxis, :])
+        - (n_upper / n) * _entropies(upper)
+        - ((n - n_upper) / n) * _entropies(total - upper)
+    )
+    gain = np.maximum(gain, 0.0)
+    return float(gain[0]) if values.ndim == 1 else gain

@@ -385,6 +385,9 @@ def build_ssr(
 # ---------------------------------------------------------------------------
 
 
+_AGG_BLOCK = 256  # documents per dense block of the aggregation weights
+
+
 def aggregate_corpus(
     docs: Corpus, tm: TermMatrix, vocab: Vocabulary, weighting: str = "mean"
 ) -> np.ndarray:
@@ -393,7 +396,10 @@ def aggregate_corpus(
     ``mean`` weighs each vocabulary term by its share of the document's
     in-vocabulary tokens; ``tf-weighted`` uses normalized ``1 + log(count)``
     weights.  Out-of-vocabulary tokens are skipped; a document with no
-    in-vocabulary tokens maps to the zero vector (with a warning).
+    in-vocabulary tokens maps to the zero vector (with a warning).  The
+    row-stochastic weights are multiplied by ``tm.matrix`` in dense blocks of
+    256 documents, so besides the result the product holds one
+    256 x ``len(vocab)`` float64 block.
     """
     if weighting not in AGG_WEIGHTINGS:
         raise ValueError(f"weighting must be one of {AGG_WEIGHTINGS}, got {weighting!r}")
@@ -407,7 +413,11 @@ def aggregate_corpus(
         author = docs.docs[i].author_id
         warnings.warn(f"document {author!r} has no in-vocabulary tokens; zero vector")
     weights.data = data / np.repeat(totals, np.diff(counts.indptr))
-    return weights @ tm.matrix
+    out = np.empty((len(docs), tm.dims))
+    for start in range(0, len(docs), _AGG_BLOCK):
+        block = slice(start, start + _AGG_BLOCK)
+        out[block] = weights[block].toarray() @ tm.matrix
+    return out
 
 
 # ---------------------------------------------------------------------------

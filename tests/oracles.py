@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.stats import rankdata
@@ -180,6 +181,39 @@ def brute_force_wilcoxon(a, b) -> tuple[float, float, int]:
         if min(t_plus, t_minus) <= w_obs + 1e-9:
             favorable += 1
     return float(w_obs), favorable / (2.0**n), int(n)
+
+
+def naive_information_gain(values, labels) -> float:
+    """Entropy reduction of the labels after a binary split of one feature at
+    its median (strictly above vs the rest), one ``Counter`` per side."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = [str(lab) for lab in labels]
+
+    def entropy(subset: list[str]) -> float:
+        counts = np.array(sorted(Counter(subset).values()), dtype=np.float64)
+        probs = counts / counts.sum()
+        return float(-(probs * np.log2(probs)).sum())
+
+    gain = entropy(labels)
+    above = values > float(np.median(values))
+    for side in (above, ~above):
+        if side.any():
+            members = [labels[i] for i in np.flatnonzero(side)]
+            gain -= (side.sum() / values.size) * entropy(members)
+    return float(max(gain, 0.0))
+
+
+def naive_top_terms_tfidf(doc_tokens: list[list[str]], d: int, stop) -> list[tuple[str, float]]:
+    """Every reportable term of document ``d`` with count * ln(N / df), best
+    first, ties by term; stopwords and tokens without a letter or digit are
+    left out."""
+    df = Counter(token for tokens in doc_tokens for token in set(tokens))
+    scored = [
+        (term, count * math.log(len(doc_tokens) / df[term]))
+        for term, count in Counter(doc_tokens[d]).items()
+        if term not in stop and any(ch.isalnum() for ch in term)
+    ]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
 def best_two_partition_sse(points: np.ndarray) -> frozenset[frozenset[int]]:

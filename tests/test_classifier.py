@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,10 +225,10 @@ def dor_case(rng):
     return X, y, {"C": 1.0}
 
 
-def unconverged_case(rng):
+def unconverged_case(rng, seed=3):
     # Dual coordinate descent stops unconverged here after 20 epochs; an
     # exact solve needs 4 pivots.
-    X, y = dor_features(2)
+    X, y = dor_features(2, seed=seed)
     return X, y, {"C": 1000.0, "max_epochs": 20}
 
 
@@ -249,6 +251,12 @@ class TestSolverOracle:
             standardized_multiclass_case,
             dor_case,
             unconverged_case,
+            *(
+                pytest.param(
+                    functools.partial(unconverged_case, seed=seed), id=f"unconverged_seed{seed}"
+                )
+                for seed in (4, 6, 7)
+            ),
         ],
     )
     def test_matches_naive_dual_cd(self, rng, case):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from dtrkit import representations
 from dtrkit.cli import main
 from dtrkit.corpus import save_jsonl
 from dtrkit.synthetic import make_synthetic_corpus
@@ -378,6 +380,29 @@ class TestTopTerms:
         assert rows
         for row in rows:
             float(row.split(",")[column])
+
+    def test_csv_unchanged_when_aggregates_move_by_a_few_ulps(self, tmp_path, monkeypatch):
+        # On this corpus a split strictly above the median moves 9 of the 24
+        # author features under the same nudge.
+        corpus = make_synthetic_corpus(
+            n_categories=4, authors_per_category=6, exclusive_terms=20, shared_terms=200,
+            tokens_per_doc=40, topical_fraction=0.08, seed=0, task="topic",
+        )  # fmt: skip
+        path = tmp_path / "c.jsonl"
+        save_jsonl(corpus, path)
+        argv = ["top-terms", "--corpus", str(path), "--format", "jsonl", "--task", "topic",
+                "--count", "6", "--words", "3", "--out"]  # fmt: skip
+        assert main(argv + [str(tmp_path / "exact.csv")]) == 0
+        aggregate = representations.aggregate_corpus
+        rng = np.random.default_rng(0)
+
+        def nudged(*args, **kwargs):
+            out = aggregate(*args, **kwargs)
+            return out * (1.0 + rng.integers(-4, 5, out.shape) * np.finfo(np.float64).eps)
+
+        monkeypatch.setattr(representations, "aggregate_corpus", nudged)
+        assert main(argv + [str(tmp_path / "nudged.csv")]) == 0
+        assert (tmp_path / "nudged.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
 
     def test_count_zero_empty_report(self, tmp_path, synthetic_jsonl, capsys):
         code = main(

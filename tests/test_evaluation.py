@@ -23,10 +23,11 @@ from dtrkit.evaluation import (
     wilcoxon_signed_rank,
 )
 from dtrkit.representations import TermMatrix, save_term_matrix
+from dtrkit.stopwords import default_stopwords
 from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens
-from oracles import brute_force_wilcoxon
+from oracles import brute_force_wilcoxon, naive_information_gain, naive_top_terms_tfidf
 
 
 class TestStratifiedKfold:
@@ -334,6 +335,25 @@ class TestTopTermsTfidf:
         with pytest.raises(KeyError):
             top_terms_tfidf(self.corpus(), "nobody", n=5)
 
+    def test_every_author_matches_per_term_oracle_bit_for_bit(self, rng):
+        synthetic = make_synthetic_corpus(
+            n_categories=3, authors_per_category=8, tokens_per_doc=60, seed=2
+        )
+        extra = ["the", "of", "and", "!", "?", "..."]
+        docs = [
+            AuthorDoc.from_text(
+                doc.author_id, " ".join(doc.tokens + list(rng.choice(extra, 6))), doc.labels
+            )
+            for doc in synthetic.docs
+        ]
+        corpus = Corpus(docs, synthetic.tasks)
+        tokens = [doc.tokens for doc in corpus.docs]
+        stop = default_stopwords()
+        for d, doc in enumerate(corpus.docs):
+            want = naive_top_terms_tfidf(tokens, d, stop)
+            assert top_terms_tfidf(corpus, doc.author_id, n=len(want) + 1) == want
+            assert top_terms_tfidf(corpus, doc.author_id, n=3) == want[:3]
+
 
 class TestInformationGain:
     def test_uninformative_feature_zero(self):
@@ -348,6 +368,35 @@ class TestInformationGain:
         for _ in range(10):
             gain = information_gain(rng.normal(size=12), labels)
             assert 0.0 <= gain <= math.log2(3) + 1e-12
+
+    def test_matrix_matches_per_feature_oracle_bit_for_bit(self, rng):
+        # Continuous and integer columns, 1 to 12 labels; no value lies within
+        # the tolerance of its median without being equal to it, so the
+        # tolerant and the strict split agree.
+        for n_labels in range(1, 13):
+            n = int(rng.integers(1, 60))
+            labels = [f"c{int(k)}" for k in rng.integers(0, n_labels, n)]
+            X = np.hstack([rng.normal(size=(n, 8)), rng.integers(0, 4, (n, 8)), np.zeros((n, 1))])
+            gap = np.abs(X - np.median(X, axis=0))
+            assert not ((gap > 0) & (gap <= 1e-12 * np.abs(X).max(axis=0))).any()
+            gains = information_gain(X, labels)
+            assert isinstance(gains, np.ndarray) and gains.shape == (X.shape[1],)
+            for j in range(X.shape[1]):
+                want = naive_information_gain(X[:, j], labels)
+                assert gains[j] == want
+                assert information_gain(X[:, j], labels) == want
+
+    def test_values_within_rounding_of_the_median_are_not_above_it(self):
+        labels = ["a", "a", "a", "b", "b", "b"]
+        exact = information_gain([0.0, 0.0, 1.0, 1.0, 1.0, 2.0], labels)
+        eps = np.finfo(np.float64).eps
+        assert information_gain([0.0, 0.0, 1.0, 1.0 + eps, 1.0 + 2 * eps, 2.0], labels) == exact
+        assert information_gain([0.0, 0.0, 1.0, 1.0 + 1e-9, 1.0, 2.0], labels) != exact
+
+    @pytest.mark.parametrize("values", [[], np.zeros((2, 2, 1)), [1.0, 2.0, 3.0]])
+    def test_shape_mismatch_rejected(self, values):
+        with pytest.raises(ValueError, match="one row per label"):
+            information_gain(values, ["a", "b"])
 
 
 class TestCrossValidate:
@@ -591,6 +640,9 @@ class TestSharedFolds:
         cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=30), k=4, seed=6)
         assert len(vocab_calls) == 12
         assert len({id(m) for m in matrices}) == 24
+        # The fold subsets keep only their count matrices, not their own counts.
+        sides = [side for fold in corpus._folds[1] for side in (fold.train, fold.test)]
+        assert sides and not any("counts" in vars(side) for side in sides)
 
 
 class TestStopwordOverride:

@@ -420,6 +420,21 @@ class TestAggregate:
                     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
                     np.testing.assert_array_equal(got[-1], 0.0)
 
+    def test_several_dense_blocks_match_naive_loop(self, rng):
+        # 600 documents make three blocks of the weight matrix, the last one
+        # partial; a document with no vocabulary term sits in the middle one.
+        lists = [random_token_lists(rng, max_docs=1, max_terms=40)[0] for _ in range(600)]
+        lists[300] = ["zzz"]
+        corpus = corpus_from_tokens(lists)
+        vocab = build_vocabulary(corpus.subset([i for i in range(600) if i != 300]))
+        tm = TermMatrix("EMBEDDING", vocab.terms, rng.normal(size=(len(vocab), 5)))
+        for weighting in ("mean", "tf-weighted"):
+            with pytest.warns(UserWarning, match="'doc300' has no in-vocabulary"):
+                got = aggregate_corpus(corpus, tm, vocab, weighting)
+            want = naive_aggregate(lists, vocab.terms, tm.matrix, weighting)
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+            np.testing.assert_array_equal(got[300], 0.0)
+
     def test_vocabulary_mismatch_rejected(self):
         corpus = corpus_from_tokens([["a", "b"]])
         vocab = vocab_of(corpus)
