@@ -8,6 +8,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,14 @@ __all__ = [
 
 # Word tokens are maximal runs of letters, digits, and apostrophes; any other
 # non-space character is matched on its own.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+|\S")
+_TOKEN_RE = re.compile(r"(?:[^\W_]+|')+|\S")
+# Runs of two or more adjacent characters outside \w, \s and the apostrophe.
+# No symbol character is in \w, so two symbols can only touch inside a run.
+_RUN_RE = re.compile(r"([^\w\s']{2,})")
 
 
 def _is_symbol(ch: str) -> bool:
     return unicodedata.category(ch).startswith("S")
-
-
-def _all_symbols(tok: str) -> bool:
-    return all(_is_symbol(ch) for ch in tok)
 
 
 def tokenize(text: str) -> list[str]:
@@ -44,20 +44,15 @@ def tokenize(text: str) -> list[str]:
     symbol-class characters (emoticons, currency or math signs) stay
     together as one token.  Whitespace only separates; no token is dropped.
     """
-    tokens: list[str] = []
-    prev_end = -1
-    for match in _TOKEN_RE.finditer(text.lower()):
-        tok = match.group()
-        if (
-            tokens
-            and match.start() == prev_end
-            and _all_symbols(tok)
-            and _all_symbols(tokens[-1])
-        ):
-            tokens[-1] += tok
-        else:
-            tokens.append(tok)
-        prev_end = match.end()
+    parts = _RUN_RE.split(text.lower())
+    tokens = _TOKEN_RE.findall(parts[0])
+    for run, rest in zip(parts[1::2], parts[2::2]):
+        for symbol, chars in groupby(run, _is_symbol):
+            if symbol:
+                tokens.append("".join(chars))
+            else:
+                tokens.extend(chars)
+        tokens.extend(_TOKEN_RE.findall(rest))
     return tokens
 
 

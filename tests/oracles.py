@@ -8,10 +8,33 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
 from scipy.stats import rankdata
+
+
+def naive_tokenize(text: str) -> list[str]:
+    """Match by match: runs of letters/digits/apostrophes, else one non-space
+    character; a match made only of symbol-class characters (Unicode
+    category S*) joins the previous token when both touch and that token is
+    all symbols too."""
+    tokens: list[str] = []
+    prev_end = -1
+    for match in re.finditer(r"(?:[^\W_]|')+|\S", text.lower()):
+        tok = match.group()
+        if (
+            tokens
+            and match.start() == prev_end
+            and all(unicodedata.category(ch).startswith("S") for ch in tok + tokens[-1])
+        ):
+            tokens[-1] += tok
+        else:
+            tokens.append(tok)
+        prev_end = match.end()
+    return tokens
 
 
 def naive_counts(doc_tokens: list[list[str]]) -> tuple[list[str], np.ndarray]:
@@ -238,6 +261,82 @@ def best_two_partition_sse(points: np.ndarray) -> frozenset[frozenset[int]]:
         elif abs(sse - best_sse) <= 1e-12 and best is not None:
             best.add(key)
     return best
+
+
+def _sq_distances(X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    cross = X @ centers.T
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(x_sq[:, np.newaxis] - 2.0 * cross + c_sq[np.newaxis, :], 0.0)
+
+
+def _kmeanspp_init(X, k, rng, x_sq) -> np.ndarray:
+    n = X.shape[0]
+    centers = np.zeros((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = _sq_distances(X, centers[:1], x_sq)[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            nxt = int(rng.choice(n, p=d2 / total))
+        else:
+            nxt = int(rng.integers(n))
+        centers[j] = X[nxt]
+        d2 = np.minimum(d2, _sq_distances(X, centers[j : j + 1], x_sq)[:, 0])
+    return centers
+
+
+def _repair_empty_clusters(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
+    counts = np.bincount(labels, minlength=k)
+    own = d2[np.arange(labels.size), labels]
+    for j in range(k):
+        if counts[j] == 0:
+            movable = counts[labels] > 1
+            scores = np.where(movable, own, -np.inf)
+            i = int(np.argmax(scores))
+            counts[labels[i]] -= 1
+            labels[i] = j
+            counts[j] = 1
+    return labels
+
+
+def _lloyd(X, centers, x_sq, max_iter) -> tuple[np.ndarray, float]:
+    n, k = X.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = _sq_distances(X, centers, x_sq)
+        new_labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = X[labels == j].mean(axis=0)
+    inertia = float(_sq_distances(X, centers, x_sq)[np.arange(n), labels].sum())
+    return labels, inertia
+
+
+def naive_kmeans(X: np.ndarray, k: int, rng, max_iter: int = 100) -> np.ndarray:
+    """k-means one restart at a time: kmeans++ init drawn from ``rng``
+    (``rng.choice`` with p proportional to the squared distance to the
+    nearest chosen center, ``rng.integers`` when every distance is 0), Lloyd
+    iterations until the labels repeat, an empty cluster taking the farthest
+    point of a cluster with two or more, and the first restart whose inertia
+    beats the best so far by more than 1e-12 kept.  Cluster ids are numbered
+    by first appearance."""
+    if k <= 1:
+        return np.zeros(X.shape[0], dtype=np.int64)
+    x_sq = np.einsum("ij,ij->i", X, X)
+    best_labels: np.ndarray | None = None
+    best_inertia = np.inf
+    for _ in range(20):
+        centers = _kmeanspp_init(X, k, rng, x_sq)
+        labels, inertia = _lloyd(X, centers, x_sq, max_iter)
+        if best_labels is None or inertia < best_inertia - 1e-12:
+            best_labels, best_inertia = labels, inertia
+    remap: dict[int, int] = {}
+    out = np.empty_like(best_labels)
+    for i, lab in enumerate(best_labels):
+        out[i] = remap.setdefault(int(lab), len(remap))
+    return out
 
 
 def naive_skipgram_pairs(lengths: list[int], spans: list[int]) -> list[tuple[int, int]]:

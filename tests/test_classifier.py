@@ -240,8 +240,9 @@ def recovered_dual(model, aug, ybin, m, C):
 
 class TestSolverOracle:
     """``train_linear_svm`` at the unique optimum of the dual: the weights of
-    ``oracles.naive_dual_cd`` run to tol 1e-9, the KKT conditions and a zero
-    duality gap."""
+    ``oracles.naive_dual_cd`` run to tol 1e-12, the KKT conditions and a zero
+    duality gap.  At tol 1e-9 the oracle's own stopping error reached 1.35e-9
+    of |w| (seed 5), above the 1e-9 bound."""
 
     @pytest.mark.parametrize(
         "case",
@@ -255,7 +256,7 @@ class TestSolverOracle:
                 pytest.param(
                     functools.partial(unconverged_case, seed=seed), id=f"unconverged_seed{seed}"
                 )
-                for seed in (4, 6, 7)
+                for seed in (4, 5, 6, 7)
             ),
         ],
     )
@@ -272,7 +273,7 @@ class TestSolverOracle:
         for m, (cat, run) in enumerate(zip(machines, model.meta["runs"])):
             ybin = np.where(np.array(y) == cat, 1.0, -1.0)
             w, want = naive_dual_cd(
-                sp.csr_matrix(aug), ybin, C, np.random.default_rng(0), tol=1e-9, max_epochs=10**5
+                sp.csr_matrix(aug), ybin, C, np.random.default_rng(0), tol=1e-12, max_epochs=10**5
             )
             assert want["converged"] is True
             assert run["converged"] is True

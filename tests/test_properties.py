@@ -1,14 +1,16 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
-read from it, stratified folds, the SVM solver, and the SVM model,
-term-matrix and word2vec containers."""
+read from it, stratified folds, SSR k-means, the SVM solver, and the SVM
+model, term-matrix and word2vec containers."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtrkit import representations
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
 from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
@@ -21,7 +23,7 @@ from dtrkit.representations import (
     save_term_matrix,
 )
 
-from oracles import naive_count_matrix, naive_counts
+from oracles import naive_count_matrix, naive_counts, naive_kmeans, naive_tokenize
 
 # Few characters, so tokens often sort between one another ("a" < "a'" <
 # "ab" < "b"); symbol runs and an emoji stand in for non-word tokens.
@@ -66,6 +68,20 @@ def test_tokenize_keeps_every_non_space_character(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
+# Letters (one that lowercases to two characters), digits, apostrophes,
+# underscores, punctuation, currency and math symbols, emoji, a combining mark
+# and whitespace, so symbol runs touch words, punctuation and each other.
+TOKENIZER_TEXTS = st.text() | st.text(
+    alphabet="aZ\u00e9\u01309_'\u2019.,!?:;-()#@%$\u20ac\u00a3+=<>~^|\u2192\u00a9"
+    "\U0001F600\U0001F44D\u0301 \t\n"
+)
+
+
+@given(TOKENIZER_TEXTS)
+def test_tokenize_matches_naive_tokenize(text):
+    assert tokenize(text) == naive_tokenize(text)
+
+
 @st.composite
 def fold_cases(draw):
     """Labels from one to four categories and a fold count in [1, n], n drawn often."""
@@ -85,6 +101,55 @@ def test_stratified_folds_partition_and_balance(case):
         per_fold = [sum(labels[i] == cat for i in fold) for fold in folds]
         assert max(per_fold) - min(per_fold) <= 1
     assert stratified_kfold(labels, k=k, seed=seed) == folds
+
+
+@st.composite
+def kmeans_cases(draw):
+    """One category's rows for SSR k-means: a few distinct rows (all-zero ones
+    included) repeated, so a category often has fewer distinct rows than k;
+    integer rows as drawn, or scaled to unit length like term frequencies."""
+    dims = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 3) | st.floats(0.0, 1.0), min_size=dims, max_size=dims)
+    distinct = np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=np.float64)
+    n = draw(st.integers(1, 4) | st.integers(1, 60))
+    X = distinct[draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))]
+    k = draw(st.integers(1, min(n, 4)) | st.just(min(n, 4)))
+    unit, max_iter = draw(st.booleans()), draw(st.sampled_from([1, 2, 100]))
+    return kmeans_case(X, k, unit, max_iter, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+def kmeans_case(rows, k, unit=False, max_iter=100, seed=0):
+    X = np.array(rows, dtype=np.float64)
+    if unit:
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        X = np.divide(X, norms, out=np.zeros_like(X), where=norms > 0)
+    return X, k, max_iter, seed
+
+
+# Three distinct unit rows and k = 4: the draws hit duplicates, and cluster
+# means computed as a one-hot matrix product changed these labels.
+FEW_DISTINCT = np.array([[0, 0, 2], [3, 1, 3], [1, 2, 3]])[
+    [2, 1, 2, 1, 1, 2, 2, 1, 1, 0, 0, 2, 1, 0, 2, 2]
+]
+
+
+@settings(deadline=None)
+@given(kmeans_cases())
+@example(kmeans_case([[1, 2]] * 5, 3))  # one distinct row: every later draw sees total == 0
+@example(kmeans_case(FEW_DISTINCT, 4, unit=True))
+@example(kmeans_case([[0, 0]] * 3 + [[1, 0]], 3))  # all-zero rows
+@example(kmeans_case([[1, 0], [0, 1], [1, 1]], 3))  # n == k
+@example(kmeans_case([[1], [2]], 1))
+def test_kmeans_matches_naive_kmeans(case):
+    # Same labels, and the generator left in the same state, as k-means run
+    # one restart at a time; max_iter 1 and 2 stop restarts mid-descent.
+    X, k, max_iter, seed = case
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = naive_kmeans(X, k, want_rng, max_iter=max_iter)
+    with mock.patch.object(representations, "_KMEANS_MAX_ITER", max_iter):
+        got = representations._kmeans(X, k, got_rng)
+    assert got.tolist() == want.tolist()
+    assert got_rng.random() == want_rng.random()
 
 
 @settings(deadline=None)
