@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import embeddings, evaluation, representations
 from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
@@ -409,7 +407,10 @@ def _cmd_embed_neighbors(args) -> int:
     if not path.is_file():
         raise ConfigError(f"vectors file does not exist: {path}")
     words, matrix = embeddings.read_word2vec(path)
-    tm = representations.TermMatrix("EMBEDDING", words, np.asarray(matrix))
+    first = {}  # a word listed twice keeps its first row, as in project_embeddings
+    for i, word in enumerate(words):
+        first.setdefault(word, i)
+    tm = representations.TermMatrix("EMBEDDING", list(first), matrix[list(first.values())])
     for term, sim in embeddings.nearest_neighbors(tm, args.term, args.k):
         print(f"{term}\t{sim:.6f}")
     return 0

@@ -3,6 +3,7 @@ word-vector interchange format."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -242,7 +243,58 @@ def save_embeddings(tm: TermMatrix, path) -> None:
 def read_word2vec(path) -> tuple[list[str], np.ndarray]:
     """Parse a textual word2vec file into (words, matrix).  A malformed
     line, or a value that is not a finite number, raises ``ValueError``
-    naming the file and the line."""
+    naming the file and the line.
+
+    The file is read once, as a stream: each line's word is kept, and the
+    rest of the line goes to numpy's C reader (``np.loadtxt``), which parses
+    every value of every row.  The result is kept only when it has one row
+    of ``dim`` finite values per word and the header's count of words.
+    Anything else (a row numpy refuses, a bad header, a non-finite value)
+    goes to a second, per-line pass that names the line at fault.  That pass
+    also reads what ``float`` accepts and numpy does not, such as ``1_0``,
+    so both passes give the same words and matrix.  Beyond the words and
+    the matrix, the reader holds one line of text at a time, plus the
+    spare rows that ``np.loadtxt`` allocates as it grows the matrix.
+    """
+    with open(path, encoding="utf-8") as fh:
+        parsed = _stream_word2vec(fh)
+    return parsed if parsed is not None else _read_word2vec_lines(path)
+
+
+def _stream_word2vec(fh) -> tuple[list[str], np.ndarray] | None:
+    """The words and matrix of an open vectors file, parsed by ``np.loadtxt``
+    as the lines stream by, or None where :func:`_read_word2vec_lines` must
+    decide."""
+    words: list[str] = []
+
+    def rests():
+        for line in fh:
+            fields = line.split(None, 1)
+            if fields:
+                word, rest = fields  # a line that holds only a word raises ValueError
+                words.append(word)
+                yield rest
+
+    try:
+        count, dim = map(int, fh.readline().split())
+        rows = rests()
+        # A file without vector lines skips np.loadtxt, which would warn.
+        first = next(rows, None)
+        if first is None:
+            matrix = np.empty((0, dim))
+        else:
+            rows = itertools.chain((first,), rows)
+            matrix = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if dim < 1 or matrix.shape != (len(words), dim) or len(words) != count:
+        return None
+    return (words, matrix) if np.isfinite(matrix).all() else None
+
+
+def _read_word2vec_lines(path) -> tuple[list[str], np.ndarray]:
+    """:func:`read_word2vec` one line at a time, each value through
+    ``float``; raises the error of the first line at fault."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -254,7 +306,7 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
         if count < 0 or dim < 1:
             raise ValueError(f"{path}:1: malformed header values {header}")
         words: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -263,7 +315,7 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim + 1} fields, found {len(fields)}"
                 )
-            rows.append(_parse_row(fields[1:], f"{path}:{lineno}"))
+            rows.append(np.array(_parse_row(fields[1:], f"{path}:{lineno}")))
             words.append(fields[0])
     if len(words) != count:
         raise ValueError(f"{path}: header announces {count} vectors, file has {len(words)}")

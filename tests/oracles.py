@@ -13,6 +13,8 @@ import unicodedata
 from collections import Counter
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 from scipy.stats import rankdata
 
 
@@ -184,6 +186,23 @@ def naive_dual_cd(X, y: np.ndarray, C: float, rng, tol: float, max_epochs: int):
         "converged": bool(max_viol < tol),
     }
     return w, info
+
+
+def nnls_dual(X, y: np.ndarray, C: float) -> np.ndarray:
+    """Primal weights at the exact optimum of the squared-hinge dual.
+
+    The dual is min over a >= 0 of a.Q.a / 2 - sum(a), with
+    Q = D X X' D + I / (2C) and D = diag(y).  With the Cholesky factor
+    Q = L L', the objective is |L' a - L^-1 1|^2 / 2 up to a constant, so
+    the optimum is a non-negative least-squares solution.  ``X`` is the
+    bias-augmented dense feature matrix; returns w = X' D a.
+    """
+    Z = y[:, None] * X
+    Q = Z @ Z.T + np.eye(len(y)) / (2.0 * C)
+    L = scipy.linalg.cholesky(Q, lower=True)
+    b = scipy.linalg.solve_triangular(L, np.ones(len(y)), lower=True)
+    alpha, _ = scipy.optimize.nnls(L.T, b)
+    return Z.T @ alpha
 
 
 def brute_force_wilcoxon(a, b) -> tuple[float, float, int]:
@@ -376,3 +395,44 @@ def naive_sgns_batch(w_in, w_out, centers, contexts, negs, lr: float):
             new_in[centers[b]] += g * u
             loss -= math.log(sigma) if label else math.log(1.0 - sigma)
     return new_in, new_out, loss
+
+
+def naive_read_word2vec(path) -> tuple[list[str], np.ndarray]:
+    """A textual word2vec file read one line at a time, each value through
+    ``float``: 'count dim' header, then one 'word v1 .. vdim' line per
+    vector; blank lines are skipped.  A malformed line, or a value that is
+    not a finite number, raises ``ValueError`` naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}:1: malformed header, expected 'count dim'")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: malformed header, expected 'count dim'") from exc
+        if count < 0 or dim < 1:
+            raise ValueError(f"{path}:1: malformed header values {header}")
+        words: list[str] = []
+        rows: list[list[float]] = []
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != dim + 1:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim + 1} fields, found {len(fields)}"
+                )
+            try:
+                values = [float(v) for v in fields[1:]]
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric value in {' '.join(fields[1:])!r}"
+                ) from None
+            for field, value in zip(fields[1:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {field!r}")
+            rows.append(values)
+            words.append(fields[0])
+    if len(words) != count:
+        raise ValueError(f"{path}: header announces {count} vectors, file has {len(words)}")
+    return words, np.asarray(rows, dtype=np.float64).reshape(len(words), dim)

@@ -20,7 +20,7 @@ from dtrkit.representations import aggregate_corpus, build_dor
 from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens, random_token_lists
-from oracles import naive_dual_cd
+from oracles import naive_dual_cd, nnls_dual
 
 
 def separable_set(rng, n=200, margin=0.5, dim=2):
@@ -240,9 +240,12 @@ def recovered_dual(model, aug, ybin, m, C):
 
 class TestSolverOracle:
     """``train_linear_svm`` at the unique optimum of the dual: the weights of
-    ``oracles.naive_dual_cd`` run to tol 1e-12, the KKT conditions and a zero
-    duality gap.  At tol 1e-9 the oracle's own stopping error reached 1.35e-9
-    of |w| (seed 5), above the 1e-9 bound."""
+    an independent solver, the KKT conditions and a zero duality gap.  The
+    reference is ``oracles.nnls_dual`` (the dual as non-negative least
+    squares), except for ``dense_case``, which keeps the first-order oracle
+    ``oracles.naive_dual_cd`` run to tol 1e-12.  At tol 1e-9 that oracle's
+    own stopping error reached 1.35e-9 of |w| (seed 5), above the 1e-9
+    bound."""
 
     @pytest.mark.parametrize(
         "case",
@@ -272,10 +275,14 @@ class TestSolverOracle:
         assert len(model.meta["runs"]) == len(machines)
         for m, (cat, run) in enumerate(zip(machines, model.meta["runs"])):
             ybin = np.where(np.array(y) == cat, 1.0, -1.0)
-            w, want = naive_dual_cd(
-                sp.csr_matrix(aug), ybin, C, np.random.default_rng(0), tol=1e-12, max_epochs=10**5
-            )
-            assert want["converged"] is True
+            if case is dense_case:
+                w, want = naive_dual_cd(
+                    sp.csr_matrix(aug), ybin, C, np.random.default_rng(0), tol=1e-12,
+                    max_epochs=10**5,
+                )  # fmt: skip
+                assert want["converged"] is True
+            else:
+                w = nnls_dual(aug, ybin, C)
             assert run["converged"] is True
             assert run["final_violation"] < model.meta["tol"]
             assert np.linalg.norm(model.weights[m] - w) <= 1e-9 * np.linalg.norm(w)

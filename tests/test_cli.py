@@ -256,6 +256,20 @@ class TestRun:
         assert f"pretrained vectors file not found: {missing}" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "1e999", "x"])
+    def test_bad_value_in_unused_vector_row_exits_1(
+        self, tmp_path, synthetic_jsonl, capsys, bad
+    ):
+        # Every row is checked, also one whose word no document uses.
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"3 2\nw000 1 0\nzz0 0 {bad}\nw001 0 1\n", encoding="utf-8")
+        reps = [{"kind": "w2v-pretrained", "pretrained_path": str(vectors)}]
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, representations=reps, evaluation={"baselines": []}
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert f"error: {vectors}:3: " in capsys.readouterr().err
+
     def test_significance_recorded_against_baseline(self, tmp_path, synthetic_jsonl):
         config, _ = write_config(
             tmp_path, synthetic_jsonl, evaluation={"folds": 10, "baselines": ["bow"]}
@@ -473,3 +487,12 @@ class TestEmbedCommands:
 
     def test_missing_vectors_file_exits_2(self, tmp_path):
         assert main(["embed-neighbors", "--vectors", str(tmp_path / "x.txt"), "--term", "a"]) == 2
+
+    def test_neighbors_of_a_word_listed_twice_use_its_first_row(self, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(
+            "4 2\nfoo 1 0\nbar 0.9 0.1\nfoo 0 1\nbaz 0.1 0.9\n", encoding="utf-8"
+        )
+        assert main(["embed-neighbors", "--vectors", str(vectors), "--term", "foo"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["bar", "baz"]

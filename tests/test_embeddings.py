@@ -262,6 +262,21 @@ class TestWord2vecFormat:
         with pytest.raises(ValueError, match=":3:"):
             load_embeddings(path, build_vocabulary(corpus))
 
+    def test_valid_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\nfoo 1 2\n\nbar\t3 4\n", encoding="utf-8")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "open", counting_open, raising=False)
+        words, matrix = read_word2vec(path)
+        assert opened == [path]
+        assert words == ["foo", "bar"]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("not-a-header\n", encoding="utf-8")

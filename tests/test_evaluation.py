@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,6 +483,22 @@ class TestCrossValidate:
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.meta == want.meta
             assert 0 < got.meta["coverage"] < 1
+
+    @pytest.mark.parametrize("bad", ["nan", "1e999", "x"])
+    def test_w2v_pretrained_bad_value_in_unused_row_fails(self, tmp_path, bad):
+        # Only the rows of corpus words are kept, yet every row is checked.
+        corpus = self.small_corpus()
+        rep = self.pretrained_rep(corpus, tmp_path)
+        path = Path(rep.pretrained_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(n for n, line in enumerate(lines, start=1) if line.startswith("zz7 "))
+        assert "zz7" not in corpus.terms
+        fields = lines[lineno - 1].split()
+        fields[2] = bad
+        lines[lineno - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
+            cross_validate(corpus, "topic", rep, k=3, seed=1)
 
     def test_w2v_pretrained_file_read_once(self, tmp_path, monkeypatch):
         from dtrkit import embeddings

@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,13 @@ from dtrkit.representations import (
     save_term_matrix,
 )
 
-from oracles import naive_count_matrix, naive_counts, naive_kmeans, naive_tokenize
+from oracles import (
+    naive_count_matrix,
+    naive_counts,
+    naive_kmeans,
+    naive_read_word2vec,
+    naive_tokenize,
+)
 
 # Few characters, so tokens often sort between one another ("a" < "a'" <
 # "ab" < "b"); symbol runs and an emoji stand in for non-word tokens.
@@ -372,3 +379,67 @@ def test_word2vec_round_trips_bit_for_bit(tm):
         words, matrix = read_word2vec(path)
     assert words == tm.terms
     assert same_bits(matrix, tm.matrix)
+
+
+# What ``str.split`` treats as whitespace, some of it outside ASCII.
+W2V_SEPARATORS = [" ", "\t", "\xa0", "\x1c", "\x85", "\u3000"]
+# Values that ``float`` reads, or not, in more than one way: non-finite,
+# overflowing and underflowing, an underscore and an Arabic-Indic digit.
+W2V_VALUES = st.sampled_from(
+    ["nan", "inf", "-Infinity", "1e999", "1e-400", "1_0", "\u0661", "x", "-0", "+.5E3"]
+) | FLOATS.map(repr)
+
+
+@st.composite
+def word2vec_texts(draw):
+    """The text of a vectors file: rows of dim values, and now and then a
+    row one value short or long, a line that holds only a word, a blank or
+    whitespace-only line, a word holding whitespace, a header count off by
+    one or 0, and mixed line endings."""
+    dim = draw(st.integers(1, 3))
+    sep = st.text(st.sampled_from(W2V_SEPARATORS), min_size=1, max_size=2)
+    word = st.text(st.sampled_from(["a", "b", "\u00e9", *W2V_SEPARATORS]), min_size=1, max_size=3)
+    # Plain values alone let a file reach the end of np.loadtxt's path.
+    value = st.floats(-2, 2).map(repr) if draw(st.booleans()) else W2V_VALUES
+    lines, rows = [], 0
+    # A row (r), one value short (s) or long (l), a word alone (w), blank (b).
+    for kind in draw(st.lists(st.sampled_from("rrrrrrbwsl"), max_size=8)):
+        if kind in "rsl":
+            n = dim + {"r": 0, "s": -1, "l": 1}[kind]
+            values = draw(st.lists(value, min_size=n, max_size=n))
+            rows += 1
+            line = draw(word.filter(str.strip)) + "".join(draw(sep) + v for v in values)
+        elif kind == "w":
+            line = draw(word)
+        else:
+            line = draw(st.text(st.sampled_from(W2V_SEPARATORS), max_size=2))
+        lines.append(draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", "\t"])))
+    count = draw(st.sampled_from([rows, rows, rows, rows - 1, rows + 1, 0]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(text + draw(ends) for text in [f"{count} {dim}", *lines])
+
+
+def read_outcome(read, path):
+    try:
+        words, matrix = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return words, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=300)
+@given(word2vec_texts())
+@example("0 2\n")
+@example("0 0\n")
+@example("-1 2\n")
+@example("0 2\n\n \t\n")  # no vector lines: np.loadtxt must not warn
+@example("1 2\nfoo\n")
+@example("1 2\nfoo 1_0 2\n")
+@example("2 1\nfoo 1\nbar \u0661\n")
+@example("2 2\nfoo 1 2\nbar 3\xa04\r\n")
+def test_read_word2vec_matches_naive_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_word2vec, path) == read_outcome(naive_read_word2vec, path)
