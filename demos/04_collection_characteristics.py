@@ -56,5 +56,5 @@ print(correlation_map_to_csv(table))
 
 # tf-idf interpretability: the strongest words of one author
 author = corpora["essays"].docs[0].author_id
-words = top_terms_tfidf(corpora["essays"], author, n=10)
+[words] = top_terms_tfidf(corpora["essays"], [author], n=10)
 print(f"top tf-idf words of {author}: {[t for t, _ in words]}")

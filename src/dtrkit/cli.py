@@ -349,22 +349,21 @@ def _cmd_top_terms(args) -> int:
     gains = information_gain(doc_vectors, labels).tolist()
     by_author = dict(zip(tm.feature_names, gains))
     label_of = {doc.author_id: doc.labels[args.task] for doc in corpus.docs}
-    top_terms = evaluation._tfidf_ranker(corpus)
-
-    csv_lines = ["category,author,information_gain,rank,term,tfidf"]
+    picks = []  # (category, author): each category's most informative authors
     for cat in corpus.categories(args.task):
         ranked = sorted(
             (author for author in tm.feature_names if label_of[author] == cat),
             key=lambda author: (-by_author[author], author),
-        )[: args.count]
-        for author in ranked:
-            words = top_terms(author, args.words)
-            joined = ", ".join(term for term, _ in words)
-            print(f"{cat} | {author} (ig={by_author[author]:.4f}): {joined}")
-            for rank, (term, score) in enumerate(words, start=1):
-                csv_lines.append(
-                    f"{cat},{author},{by_author[author]!r},{rank},{term},{score!r}"
-                )
+        )
+        picks += [(cat, author) for author in ranked[: args.count]]
+    tops = evaluation.top_terms_tfidf(corpus, [author for _, author in picks], args.words)
+
+    csv_lines = ["category,author,information_gain,rank,term,tfidf"]
+    for (cat, author), words in zip(picks, tops):
+        joined = ", ".join(term for term, _ in words)
+        print(f"{cat} | {author} (ig={by_author[author]:.4f}): {joined}")
+        for rank, (term, score) in enumerate(words, start=1):
+            csv_lines.append(f"{cat},{author},{by_author[author]!r},{rank},{term},{score!r}")
     if args.out:
         Path(args.out).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     return 0

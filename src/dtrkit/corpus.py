@@ -233,7 +233,12 @@ def _load_jsonl(path: Path) -> Corpus:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict) or "author_id" not in record or "text" not in record:
                 raise ValueError(f"{path}:{lineno}: record needs 'author_id' and 'text' keys")
-            labels = {k: str(v) for k, v in record.items() if k not in ("author_id", "text")}
+            where = f"{path}:{lineno}"
+            labels = {
+                k: _name_value(v, k, where)
+                for k, v in record.items()
+                if k not in ("author_id", "text")
+            }
             record_tasks = frozenset(labels)
             if tasks is None:
                 tasks = record_tasks
@@ -242,9 +247,18 @@ def _load_jsonl(path: Path) -> Corpus:
                     f"{path}:{lineno}: label keys {sorted(record_tasks)} do not match "
                     f"earlier records {sorted(tasks)}"
                 )
-            docs.append(AuthorDoc.from_text(str(record["author_id"]), str(record["text"]), labels))
+            author_id = _name_value(record["author_id"], "author_id", where)
+            docs.append(AuthorDoc.from_text(author_id, str(record["text"]), labels))
     docs.sort(key=lambda d: d.author_id)
     return Corpus(docs, tasks if tasks is not None else frozenset())
+
+
+def _name_value(value, key: str, where: str) -> str:
+    """An author id or a label read from JSON: a string, or a number spelt
+    as Python prints it.  null, booleans, arrays and objects are refused."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{where}: {key!r} must be a string or a number, got {json.dumps(value)}")
+    return str(value)
 
 
 def save_jsonl(corpus: Corpus, path) -> None:

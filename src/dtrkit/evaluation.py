@@ -178,24 +178,9 @@ class EvalReport:
             "seed": self.seed,
             "corpus": self.corpus_name,
             "mean_accuracy": self.mean_accuracy,
-            "folds": [
-                {
-                    "fold": f.fold,
-                    "accuracy": f.accuracy,
-                    "rep_dims": f.rep_dims,
-                    "predictions": dict(sorted(f.predictions.items())),
-                }
-                for f in self.folds
-            ],
+            "folds": [dataclasses.asdict(f) for f in self.folds],
             "significance": {
-                name: {
-                    "statistic": res.statistic,
-                    "p_value": res.p_value,
-                    "significant": res.significant,
-                    "n": res.n,
-                    "method": res.method,
-                }
-                for name, res in sorted(self.significance.items())
+                name: dataclasses.asdict(res) for name, res in self.significance.items()
             },
         }
 
@@ -500,8 +485,11 @@ class CollectionStats:
         return {name: getattr(self, name) for name in CHARACTERISTICS}
 
 
-def _is_punct_token(token: str) -> bool:
-    return not any(ch.isalnum() for ch in token)
+def _content_terms(terms: list[str], stopwords=None) -> np.ndarray:
+    """Mask of the ``terms`` that are neither stopwords nor pure punctuation
+    (no letter or digit); ``stopwords=None`` reads :func:`default_stopwords`."""
+    stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
+    return np.array([t not in stop and any(ch.isalnum() for ch in t) for t in terms], dtype=bool)
 
 
 def collection_stats(corpus: Corpus, task: str, stopwords=None) -> CollectionStats:
@@ -517,13 +505,9 @@ def collection_stats(corpus: Corpus, task: str, stopwords=None) -> CollectionSta
     """
     if not corpus.docs:
         raise ValueError("corpus is empty")
-    stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
-
     freq = np.asarray(corpus.counts.sum(axis=0)).ravel()
     total = int(freq.sum())
-    content = int(
-        sum(f for t, f in zip(corpus.terms, freq) if t not in stop and not _is_punct_token(t))
-    )
+    content = int(freq[_content_terms(corpus.terms, stopwords)].sum())
     ttr = len(corpus.terms) / total if total else 0.0
     ld = content / total if total else 0.0
     if corpus.terms:
@@ -609,21 +593,26 @@ def correlation_map_to_csv(table: dict[str, dict[str, float]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tfidf_ranker(corpus: Corpus, stopwords=None):
-    """``top(author_id, n)``: the author's top-n terms by tf-idf over ``corpus``.
+def top_terms_tfidf(
+    corpus: Corpus, author_ids, n: int = 10, stopwords=None
+) -> list[list[tuple[str, float]]]:
+    """The top-n terms by tf-idf over the corpus of each author in ``author_ids``.
 
-    The idf of every term and the mask of reportable terms are computed
-    once here, so ranking many authors of one corpus shares them.
+    tf is the author's raw count and idf is ln(N / df) over all documents;
+    stopwords and pure-punctuation tokens are excluded from the report and
+    ties break lexicographically.  The idf and the excluded terms are
+    computed once per call, shared by every listed author.
     """
-    stop = default_stopwords() if stopwords is None else {str(s).lower() for s in stopwords}
+    if isinstance(author_ids, str):
+        raise TypeError("author_ids must be a list of author ids, not a single string")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    rows = [corpus.row(author_id) for author_id in author_ids]
     counts = corpus.counts
     idf = np.array([math.log(len(corpus) / df) for df in counts.getnnz(axis=0).tolist()])
-    shown = np.array([t not in stop and not _is_punct_token(t) for t in corpus.terms], dtype=bool)
-
-    def top(author_id: str, n: int) -> list[tuple[str, float]]:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        row = corpus.row(author_id)
+    shown = _content_terms(corpus.terms, stopwords)
+    tops = []
+    for row in rows:
         span = slice(counts.indptr[row], counts.indptr[row + 1])
         cols = counts.indices[span]
         keep = shown[cols]
@@ -631,19 +620,10 @@ def _tfidf_ranker(corpus: Corpus, stopwords=None):
         scores = counts.data[span][keep] * idf[cols]
         # Columns follow the sorted terms, so the column breaks score ties by term.
         order = np.lexsort((cols, -scores))[:n]
-        return [(corpus.terms[j], s) for j, s in zip(cols[order].tolist(), scores[order].tolist())]
-
-    return top
-
-
-def top_terms_tfidf(corpus: Corpus, author_id: str, n: int = 10, stopwords=None) -> list[tuple[str, float]]:
-    """The author's top-n terms by tf-idf over the corpus.
-
-    tf is the author's raw count and idf is ln(N / df) over all documents;
-    stopwords and pure-punctuation tokens are excluded from the report and
-    ties break lexicographically.
-    """
-    return _tfidf_ranker(corpus, stopwords)(author_id, n)
+        tops.append(
+            [(corpus.terms[j], s) for j, s in zip(cols[order].tolist(), scores[order].tolist())]
+        )
+    return tops
 
 
 def _entropies(counts: np.ndarray) -> np.ndarray:

@@ -76,6 +76,8 @@ class TermMatrix:
                 f"{len(self.feature_names)} feature names for {self.dims} dimensions"
             )
         self._index = {t: i for i, t in enumerate(self.terms)}
+        if len(self._index) != len(self.terms):
+            raise ValueError(f"term {self.terms[_first_repeat(self.terms)]!r} is listed twice")
 
     @property
     def dims(self) -> int:
@@ -88,6 +90,16 @@ class TermMatrix:
 
     def row(self, term: str) -> np.ndarray:
         return self.matrix[self.index_of(term)]
+
+
+def _first_repeat(labels: list[str]) -> int | None:
+    """Position of the first label that repeats an earlier one, or None."""
+    seen: set[str] = set()
+    for i, label in enumerate(labels):
+        if label in seen:
+            return i
+        seen.add(label)
+    return None
 
 
 @dataclass
@@ -117,14 +129,12 @@ def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
         return memo[1]
     ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
     present = np.flatnonzero(ids >= 0)
-    order = present[np.argsort(ids[present])]  # corpus columns in vocabulary order
-    sel = corpus.counts.tocsc()[:, order]
-    # Column v of the result is the corpus column of vocabulary term v, or
-    # empty; converting the column-major gather back gives sorted rows.
-    lengths = np.zeros(len(vocab), dtype=np.int64)
-    lengths[ids[order]] = np.diff(sel.indptr)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    mat = sp.csc_matrix((sel.data, sel.indices, indptr), shape=(len(corpus), len(vocab))).tocsr()
+    # Corpus column j goes to vocabulary column ids[j], each count times 1.0.
+    # The product leaves rows unsorted; the trip through CSC sorts them by counting.
+    select = sp.csr_matrix(
+        (np.ones(present.size), (present, ids[present])), shape=(len(corpus.terms), len(vocab))
+    )
+    mat = (corpus.counts @ select).tocsc().tocsr()
     for array in (mat.data, mat.indices, mat.indptr):
         array.flags.writeable = False
     corpus._count_memo = (vocab, mat)
@@ -559,7 +569,12 @@ def load_term_matrix(path) -> TermMatrix:
     n_terms, dims, n_features = (reader.count(key) for key in ("terms", "dims", "features"))
     reader.check(n_features in (0, dims), f"'features' must be 0 or 'dims' ({dims})")
     meta = reader.field("meta", json.loads)
-    terms, features = reader.labels(n_terms), reader.labels(n_features)
+    terms = reader.labels(n_terms)
+    repeat = _first_repeat(terms)
+    if repeat is not None:
+        line = reader.pos - n_terms + repeat + 1
+        raise ValueError(f"{path}:{line}: term {terms[repeat]!r} is listed twice")
+    features = reader.labels(n_features)
     matrix = reader.rows(n_terms, dims)
     reader.end()
     return TermMatrix(kind, terms, matrix, feature_names=features, meta=meta)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dtrkit import representations
+from dtrkit import evaluation, representations
 from dtrkit.cli import main
 from dtrkit.corpus import save_jsonl
 from dtrkit.synthetic import make_synthetic_corpus
@@ -417,6 +417,26 @@ class TestTopTerms:
         monkeypatch.setattr(representations, "aggregate_corpus", nudged)
         assert main(argv + [str(tmp_path / "nudged.csv")]) == 0
         assert (tmp_path / "nudged.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+
+    def test_one_tfidf_call_ranks_every_listed_author(self, tmp_path, synthetic_jsonl, monkeypatch):
+        calls = []
+        rank = evaluation.top_terms_tfidf
+
+        def counted(corpus, author_ids, *args, **kwargs):
+            calls.append(list(author_ids))
+            return rank(corpus, author_ids, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "top_terms_tfidf", counted)
+        out = tmp_path / "top.csv"
+        code = main(
+            ["top-terms", "--corpus", str(synthetic_jsonl), "--format", "jsonl",
+             "--task", "topic", "--count", "3", "--words", "2", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert len(calls) == 1
+        listed = [row.split(",")[1] for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert calls[0] == list(dict.fromkeys(listed))
+        assert len(calls[0]) == 6  # 3 authors in each of the 2 categories
 
     def test_count_zero_empty_report(self, tmp_path, synthetic_jsonl, capsys):
         code = main(

@@ -160,6 +160,25 @@ class TestLoadJsonl:
             load_corpus(path, "jsonl")
         assert "'a1'" in str(info.value) and "'gender'" in str(info.value)
 
+    @pytest.mark.parametrize("key", ["author_id", "gender"])
+    @pytest.mark.parametrize("value", [None, True, False, ["m"], {"v": "m"}])
+    def test_non_scalar_author_id_or_label_rejected(self, tmp_path, key, value):
+        # str() would turn these into "None", "True", "['m']", ...
+        path = tmp_path / "c.jsonl"
+        first = {"author_id": "a0", "text": "a text", "gender": "f"}
+        record = {**first, "author_id": "a1", key: value}
+        path.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        message = f"{path}:2: '{key}' must be a string or a number, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(path, "jsonl")
+
+    def test_numeric_author_id_and_label_read_as_text(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = {"author_id": 17, "text": "a text", "age": 24.5}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        doc = load_corpus(path, "jsonl").docs[0]
+        assert (doc.author_id, doc.labels) == ("17", {"age": "24.5"})
+
 
 class TestCorpusInvariants:
     def test_duplicate_author_rejected(self):

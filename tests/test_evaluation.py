@@ -9,7 +9,9 @@ from dtrkit.corpus import AuthorDoc, Corpus, load_corpus, save_jsonl
 from dtrkit.evaluation import (
     ClfConfig,
     EvalReport,
+    FoldResult,
     RepConfig,
+    WilcoxonResult,
     accuracy,
     attach_significance,
     collection_stats,
@@ -314,28 +316,43 @@ class TestTopTermsTfidf:
         )
 
     def test_exclusive_term_ranks_first(self):
-        got = top_terms_tfidf(self.corpus(), "doc000", n=10, stopwords=())
+        got = top_terms_tfidf(self.corpus(), ["doc000"], n=10, stopwords=())[0]
         assert got[0][0] == "unique"
         assert got[0][1] == pytest.approx(3 * math.log(3), abs=1e-12)
 
     def test_universal_term_scores_zero(self):
-        got = dict(top_terms_tfidf(self.corpus(), "doc000", n=10, stopwords=()))
+        got = dict(top_terms_tfidf(self.corpus(), ["doc000"], n=10, stopwords=())[0])
         assert got["common"] == 0.0
-        ranked = [t for t, _ in top_terms_tfidf(self.corpus(), "doc000", n=1, stopwords=())]
+        ranked = [t for t, _ in top_terms_tfidf(self.corpus(), ["doc000"], n=1, stopwords=())[0]]
         assert "common" not in ranked
 
     def test_n_caps_at_distinct_terms(self):
-        got = top_terms_tfidf(self.corpus(), "doc000", n=50, stopwords=())
+        got = top_terms_tfidf(self.corpus(), ["doc000"], n=50, stopwords=())[0]
         assert len(got) == 3
 
     def test_stopwords_and_punctuation_excluded(self):
         corpus = corpus_from_tokens([["the", "word", "!"], ["x"]], labels=["x", "y"])
-        got = top_terms_tfidf(corpus, "doc000", n=10, stopwords=("the",))
+        got = top_terms_tfidf(corpus, ["doc000"], n=10, stopwords=("the",))[0]
         assert [t for t, _ in got] == ["word"]
 
     def test_unknown_author(self):
         with pytest.raises(KeyError):
-            top_terms_tfidf(self.corpus(), "nobody", n=5)
+            top_terms_tfidf(self.corpus(), ["nobody"], n=5)
+
+    def test_single_author_string_refused(self):
+        # A bare string would otherwise be read one character at a time.
+        with pytest.raises(TypeError, match="list of author ids"):
+            top_terms_tfidf(self.corpus(), "doc000")
+
+    def test_one_list_per_author_in_the_given_order(self):
+        corpus = self.corpus()
+        tops = top_terms_tfidf(corpus, ["doc002", "doc000", "doc002"], n=2, stopwords=())
+        assert [[t for t, _ in top] for top in tops] == [
+            ["third", "common"],
+            ["unique", "common"],
+            ["third", "common"],
+        ]
+        assert top_terms_tfidf(corpus, [], n=2) == []
 
     def test_every_author_matches_per_term_oracle_bit_for_bit(self, rng):
         synthetic = make_synthetic_corpus(
@@ -351,10 +368,13 @@ class TestTopTermsTfidf:
         corpus = Corpus(docs, synthetic.tasks)
         tokens = [doc.tokens for doc in corpus.docs]
         stop = default_stopwords()
-        for d, doc in enumerate(corpus.docs):
-            want = naive_top_terms_tfidf(tokens, d, stop)
-            assert top_terms_tfidf(corpus, doc.author_id, n=len(want) + 1) == want
-            assert top_terms_tfidf(corpus, doc.author_id, n=3) == want[:3]
+        authors = [doc.author_id for doc in corpus.docs]
+        wants = [naive_top_terms_tfidf(tokens, d, stop) for d in range(len(authors))]
+        longest = max(len(want) for want in wants)
+        assert top_terms_tfidf(corpus, authors, n=longest + 1) == wants
+        assert top_terms_tfidf(corpus, authors, n=3) == [want[:3] for want in wants]
+        # An author ranked alone gets what it gets among all of them.
+        assert top_terms_tfidf(corpus, authors[5:6], n=3) == [wants[5][:3]]
 
 
 class TestInformationGain:
@@ -399,6 +419,60 @@ class TestInformationGain:
     def test_shape_mismatch_rejected(self, values):
         with pytest.raises(ValueError, match="one row per label"):
             information_gain(values, ["a", "b"])
+
+
+class TestReportToJson:
+    def test_layout_and_field_names_are_pinned(self):
+        report = EvalReport(
+            rep_id="dor",
+            task="topic",
+            k=2,
+            seed=7,
+            folds=[
+                FoldResult(fold=0, predictions={"b2": "y", "a1": "x"}, accuracy=0.5, rep_dims=12),
+                FoldResult(fold=1, predictions={"c3": "x"}, accuracy=1.0, rep_dims=11),
+            ],
+            mean_accuracy=0.75,
+            significance={"bow": WilcoxonResult(3.0, 0.25, False, 6, "exact")},
+            corpus_name="blogs",
+        )
+        assert report_to_json(report) == """{
+  "corpus": "blogs",
+  "folds": [
+    {
+      "accuracy": 0.5,
+      "fold": 0,
+      "predictions": {
+        "a1": "x",
+        "b2": "y"
+      },
+      "rep_dims": 12
+    },
+    {
+      "accuracy": 1.0,
+      "fold": 1,
+      "predictions": {
+        "c3": "x"
+      },
+      "rep_dims": 11
+    }
+  ],
+  "k": 2,
+  "mean_accuracy": 0.75,
+  "representation": "dor",
+  "seed": 7,
+  "significance": {
+    "bow": {
+      "method": "exact",
+      "n": 6,
+      "p_value": 0.25,
+      "significant": false,
+      "statistic": 3.0
+    }
+  },
+  "task": "topic"
+}
+"""
 
 
 class TestCrossValidate:
@@ -457,15 +531,15 @@ class TestCrossValidate:
 
     def pretrained_rep(self, corpus, tmp_path):
         """Vectors for a seeded share of the corpus terms, listed twice with
-        different values, among distractor words no fold can use."""
-        from dtrkit.embeddings import save_embeddings
-
+        different values, among distractor words no fold can use.  A
+        ``TermMatrix`` refuses repeated terms, so the file is written here."""
         rng = np.random.default_rng(3)
         words = [t for t in corpus.terms if rng.random() < 0.8]
         words = [*words, *(f"zz{i}" for i in range(40)), *words[:5]]
-        tm = TermMatrix("EMBEDDING", words, rng.normal(size=(len(words), 4)))
+        rows = rng.normal(size=(len(words), 4)).tolist()
+        lines = [f"{len(words)} 4", *(" ".join([w, *map(repr, r)]) for w, r in zip(words, rows))]
         path = tmp_path / "vec.txt"
-        save_embeddings(tm, path)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return RepConfig(kind="w2v-pretrained", pretrained_path=str(path))
 
     def test_w2v_pretrained_folds_equal_load_embeddings(self, tmp_path):

@@ -576,3 +576,20 @@ def test_features_count_other_than_dims_names_file_and_line(tmp_path):
 def test_feature_names_must_label_every_dimension(names):
     with pytest.raises(ValueError, match=f"{len(names)} feature names for 2 dimensions"):
         TermMatrix("DOR", ["a"], np.zeros((1, 2)), feature_names=names)
+
+
+def test_repeated_term_rejected_naming_the_first_repeat():
+    # Without the check, row("a") would read the last of the two "a" rows.
+    with pytest.raises(ValueError, match="term 'b' is listed twice"):
+        TermMatrix("DOR", ["a", "b", "c", "b", "a"], np.zeros((5, 1)))
+
+
+def test_repeated_term_in_a_file_names_file_and_line(tmp_path):
+    path = tmp_path / "container.txt"
+    write_term_matrix(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    second = lines.index("b")
+    lines[second] = "a"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{second + 1}: term 'a' is listed twice")):
+        load_term_matrix(path)
