@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary
 from .representations import _ContainerReader, _fmt, _row_l2_normalize, _write_container, count_matrix
+from .representations import _check_one_of, _idf
 
 __all__ = [
     "BOW_WEIGHTINGS",
@@ -39,7 +40,7 @@ def compute_idf(train: Corpus, vocab: Vocabulary) -> np.ndarray:
     if not train.docs:
         raise ValueError("cannot compute idf from an empty corpus")
     df = count_matrix(train, vocab).getnnz(axis=0).astype(np.float64)
-    return np.where(df > 0, np.log(len(train) / np.maximum(df, 1.0)), 0.0)
+    return _idf(len(train), df)
 
 
 def build_bow_matrix(
@@ -53,8 +54,7 @@ def build_bow_matrix(
     ``tf`` keeps raw counts, ``boolean`` presence flags, ``tfidf`` multiplies
     counts by the supplied training-fold idf and L2-normalizes each row.
     """
-    if weighting not in BOW_WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {BOW_WEIGHTINGS}, got {weighting!r}")
+    _check_one_of("weighting", weighting, BOW_WEIGHTINGS)
     if weighting == "tfidf":
         if idf is None:
             raise ValueError("tfidf weighting requires idf computed on the training fold")

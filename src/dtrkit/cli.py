@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 from . import embeddings, evaluation, representations
-from .corpus import build_vocabulary, load_corpus
+from .corpus import CORPUS_FORMATS, build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
     ClfConfig,
     RepConfig,
+    _csv_field,
     attach_significance,
     collection_stats,
     cross_validate,
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run cross-validated experiments from a config file")
     run.add_argument("--config", help="JSON experiment config")
     run.add_argument("--corpus", help="corpus path (overrides the config)")
-    run.add_argument("--format", choices=("pan-dir", "jsonl"), help="corpus format override")
+    run.add_argument("--format", choices=CORPUS_FORMATS, help="corpus format override")
     run.add_argument("--task", help="restrict to one task")
     run.add_argument("--rep", help="restrict to one representation kind")
     run.add_argument("--seed", type=int, help="seed override (mandatory somewhere)")
@@ -50,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     char = sub.add_parser("characterize", help="collection characteristics per task")
     char.add_argument("--corpus", required=True)
-    char.add_argument("--format", choices=("pan-dir", "jsonl"), default="jsonl")
+    char.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     char.add_argument("--task", help="task to characterize (default: all)")
     char.add_argument("--out", help="write the characteristics CSV here")
     char.set_defaults(func=_cmd_characterize)
 
     top = sub.add_parser("top-terms", help="discriminative authors and their tf-idf words")
     top.add_argument("--corpus", required=True)
-    top.add_argument("--format", choices=("pan-dir", "jsonl"), default="jsonl")
+    top.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     top.add_argument("--task", required=True)
     top.add_argument("--count", type=int, default=3, help="authors per category")
     top.add_argument("--words", type=int, default=10, help="tf-idf words per author")
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     emb = sub.add_parser("embed-train", help="train skip-gram vectors on a corpus")
     emb.add_argument("--corpus", required=True)
-    emb.add_argument("--format", choices=("pan-dir", "jsonl"), default="jsonl")
+    emb.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     emb.add_argument("--out", required=True, help="output vectors file (word2vec text)")
     emb.add_argument("--seed", type=int, required=True)
     emb.add_argument("--dim", type=int, default=100)
@@ -153,7 +154,7 @@ def _load_run_config(args) -> dict:
             raise ConfigError("every corpus entry needs 'path' and 'format'")
         spec.setdefault("name", _default_corpus_name(spec["path"]))
         _check_file_name_part(spec["name"], "corpus name")
-        if spec["format"] not in ("pan-dir", "jsonl"):
+        if spec["format"] not in CORPUS_FORMATS:
             raise ConfigError(f"unknown corpus format {spec['format']!r}")
         if not Path(spec["path"]).exists():
             raise ConfigError(f"corpus path does not exist: {spec['path']}")
@@ -201,6 +202,10 @@ def _rep_from_spec(spec: dict) -> RepConfig:
     if kind is None:
         raise ConfigError("every representation entry needs a 'kind'")
     emb_spec = spec.pop("embedding", None)
+    if isinstance(emb_spec, dict) and "seed" in emb_spec:
+        raise ConfigError(
+            "bad embedding config: 'seed' cannot be set; each fold is trained with its own seed"
+        )
     embedding = None
     if emb_spec is not None:
         try:
@@ -314,7 +319,7 @@ def _cmd_characterize(args) -> int:
     if args.out:
         lines = ["task," + ",".join(CHARACTERISTICS)]
         for task, stats in rows:
-            lines.append(task + "," + ",".join(repr(v) for v in stats.as_dict().values()))
+            lines.append(_csv_field(task) + "," + ",".join(repr(v) for v in stats.as_dict().values()))
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -362,8 +367,9 @@ def _cmd_top_terms(args) -> int:
     for (cat, author), words in zip(picks, tops):
         joined = ", ".join(term for term, _ in words)
         print(f"{cat} | {author} (ig={by_author[author]:.4f}): {joined}")
+        lead = f"{_csv_field(cat)},{_csv_field(author)},{by_author[author]!r}"
         for rank, (term, score) in enumerate(words, start=1):
-            csv_lines.append(f"{cat},{author},{by_author[author]!r},{rank},{term},{score!r}")
+            csv_lines.append(f"{lead},{rank},{_csv_field(term)},{score!r}")
     if args.out:
         Path(args.out).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     return 0
@@ -406,9 +412,7 @@ def _cmd_embed_neighbors(args) -> int:
     if not path.is_file():
         raise ConfigError(f"vectors file does not exist: {path}")
     words, matrix = embeddings.read_word2vec(path)
-    first = {}  # a word listed twice keeps its first row, as in project_embeddings
-    for i, word in enumerate(words):
-        first.setdefault(word, i)
+    first = embeddings._first_rows(words)
     tm = representations.TermMatrix("EMBEDDING", list(first), matrix[list(first.values())])
     for term, sim in embeddings.nearest_neighbors(tm, args.term, args.k):
         print(f"{term}\t{sim:.6f}")

@@ -24,6 +24,8 @@ __all__ = [
     "build_vocabulary",
 ]
 
+CORPUS_FORMATS = ("pan-dir", "jsonl")
+
 # Word tokens are maximal runs of letters, digits, and apostrophes; any other
 # non-space character is matched on its own.
 _TOKEN_RE = re.compile(r"(?:[^\W_]+|')+|\S")
@@ -248,7 +250,10 @@ def _load_jsonl(path: Path) -> Corpus:
                     f"earlier records {sorted(tasks)}"
                 )
             author_id = _name_value(record["author_id"], "author_id", where)
-            docs.append(AuthorDoc.from_text(author_id, str(record["text"]), labels))
+            text = record["text"]
+            if not isinstance(text, str):
+                raise ValueError(f"{where}: 'text' must be a string, got {json.dumps(text)}")
+            docs.append(AuthorDoc.from_text(author_id, text, labels))
     docs.sort(key=lambda d: d.author_id)
     return Corpus(docs, tasks if tasks is not None else frozenset())
 

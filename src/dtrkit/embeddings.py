@@ -31,6 +31,9 @@ LR_FLOOR_RATIO = 1e-4
 # held at once.
 BATCH_PAIRS = 256
 
+# Lines of a vectors file that read_word2vec hands to np.loadtxt at a time.
+_READ_CHUNK = 1024
+
 
 @dataclass
 class EmbeddingConfig:
@@ -245,81 +248,80 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
     line, or a value that is not a finite number, raises ``ValueError``
     naming the file and the line.
 
-    The file is read once, as a stream: each line's word is kept, and the
-    rest of the line goes to numpy's C reader (``np.loadtxt``), which parses
-    every value of every row.  The result is kept only when it has one row
-    of ``dim`` finite values per word and the header's count of words.
-    Anything else (a row numpy refuses, a bad header, a non-finite value)
-    goes to a second, per-line pass that names the line at fault.  That pass
-    also reads what ``float`` accepts and numpy does not, such as ``1_0``,
-    so both passes give the same words and matrix.  Beyond the words and
-    the matrix, the reader holds one line of text at a time, plus the
-    spare rows that ``np.loadtxt`` allocates as it grows the matrix.
+    The file is read once, in chunks of ``_READ_CHUNK`` lines.  Each line's
+    word is kept, and the rest of the line goes to numpy's C reader
+    (``np.loadtxt``), which parses every value of every row.  A chunk that
+    numpy refuses, or that holds a row of another width or a non-finite
+    value, is parsed again line by line through ``float``; that pass names
+    the line at fault, and it also reads what ``float`` accepts and numpy
+    does not, such as ``1_0``.  Beyond the words and the matrix, the reader
+    holds one chunk of lines, plus one more copy of the matrix while the
+    parsed chunks are joined.
     """
     with open(path, encoding="utf-8") as fh:
-        parsed = _stream_word2vec(fh)
-    return parsed if parsed is not None else _read_word2vec_lines(path)
-
-
-def _stream_word2vec(fh) -> tuple[list[str], np.ndarray] | None:
-    """The words and matrix of an open vectors file, parsed by ``np.loadtxt``
-    as the lines stream by, or None where :func:`_read_word2vec_lines` must
-    decide."""
-    words: list[str] = []
-
-    def rests():
-        for line in fh:
-            fields = line.split(None, 1)
-            if fields:
-                word, rest = fields  # a line that holds only a word raises ValueError
-                words.append(word)
-                yield rest
-
-    try:
-        count, dim = map(int, fh.readline().split())
-        rows = rests()
-        # A file without vector lines skips np.loadtxt, which would warn.
-        first = next(rows, None)
-        if first is None:
-            matrix = np.empty((0, dim))
-        else:
-            rows = itertools.chain((first,), rows)
-            matrix = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if dim < 1 or matrix.shape != (len(words), dim) or len(words) != count:
-        return None
-    return (words, matrix) if np.isfinite(matrix).all() else None
-
-
-def _read_word2vec_lines(path) -> tuple[list[str], np.ndarray]:
-    """:func:`read_word2vec` one line at a time, each value through
-    ``float``; raises the error of the first line at fault."""
-    with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: malformed header, expected 'count dim'")
         try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: malformed header, expected 'count dim'") from exc
+            count, dim = map(int, header)
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed header, expected 'count dim'") from None
         if count < 0 or dim < 1:
             raise ValueError(f"{path}:1: malformed header values {header}")
         words: list[str] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, found {len(fields)}"
-                )
-            rows.append(np.array(_parse_row(fields[1:], f"{path}:{lineno}")))
-            words.append(fields[0])
+        blocks = [np.empty((0, dim))]
+        lineno = 2  # the number of the chunk's first line
+        while chunk := list(itertools.islice(fh, _READ_CHUNK)):
+            named: list[str] = []
+            block = None
+            # A chunk without vector lines skips np.loadtxt, which would warn.
+            if not all(map(str.isspace, chunk)):
+                try:
+                    block = np.loadtxt(_rests(chunk, named), comments=None, ndmin=2)
+                except ValueError:
+                    pass
+            if block is None or block.shape != (len(named), dim) or not np.isfinite(block).all():
+                named, block = _parse_lines(path, chunk, lineno, dim)
+            words += named
+            blocks.append(block)
+            lineno += len(chunk)
     if len(words) != count:
         raise ValueError(f"{path}: header announces {count} vectors, file has {len(words)}")
-    return words, np.asarray(rows, dtype=np.float64).reshape(len(words), dim)
+    return words, np.concatenate(blocks)
+
+
+def _rests(lines: list[str], words: list[str]):
+    """Each vector line of ``lines`` without its word, which goes to
+    ``words``.  A line that holds only a word raises ``ValueError``."""
+    for line in lines:
+        fields = line.split(None, 1)
+        if fields:
+            word, rest = fields
+            words.append(word)
+            yield rest
+
+
+def _parse_lines(path, lines: list[str], first: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """The words and rows of ``lines``, the first of which is line ``first``
+    of ``path``, one line at a time and each value through ``float``; raises
+    the error of the first line at fault."""
+    words, rows = [], []
+    for lineno, line in enumerate(lines, start=first):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != dim + 1:
+            raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, found {len(fields)}")
+        rows.append(_parse_row(fields[1:], f"{path}:{lineno}"))
+        words.append(fields[0])
+    return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+
+def _first_rows(words: list[str]) -> dict[str, int]:
+    """Each distinct word's first row, in the order the words first appear:
+    a word listed twice keeps its first row."""
+    first: dict[str, int] = {}
+    for i, word in enumerate(words):
+        first.setdefault(word, i)
+    return first
 
 
 def project_embeddings(words: list[str], matrix, vocab: Vocabulary, source) -> TermMatrix:
@@ -331,20 +333,16 @@ def project_embeddings(words: list[str], matrix, vocab: Vocabulary, source) -> T
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
+    first = _first_rows(words)
+    rows = np.array([first.get(term, -1) for term in vocab.terms], dtype=np.int64)
+    found = rows >= 0
     out = np.zeros((len(vocab), matrix.shape[1]))
-    filled = np.zeros(len(vocab), dtype=bool)
-    found = 0
-    for w_idx, word in enumerate(words):
-        j = vocab.index.get(word)
-        if j is not None and not filled[j]:
-            out[j] = matrix[w_idx]
-            filled[j] = True
-            found += 1
+    out[found] = matrix[rows[found]]
     return TermMatrix(
         "EMBEDDING",
         list(vocab.terms),
         out,
-        meta={"coverage": found / len(vocab), "source": str(source)},
+        meta={"coverage": int(found.sum()) / len(vocab), "source": str(source)},
     )
 
 

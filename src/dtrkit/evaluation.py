@@ -8,13 +8,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import classifier, embeddings, representations
 from .corpus import Corpus, Vocabulary, build_vocabulary
-from .representations import _finite_real, _positive_int
+from .representations import _check_one_of, _finite_real, _positive_int
 from .stopwords import default_stopwords
 
 __all__ = [
@@ -53,7 +52,11 @@ CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 
 @dataclass
 class RepConfig:
-    """Representation to build per fold, with its knobs."""
+    """Representation to build per fold, with its knobs.
+
+    ``embedding`` configures ``w2v-train``.  Its ``seed`` is not used:
+    :func:`cross_validate` trains each fold with that fold's seed.
+    """
 
     kind: str = "bow"
     max_terms: int = 10_000
@@ -67,24 +70,15 @@ class RepConfig:
     def __post_init__(self) -> None:
         if not (self.rep_id is None or isinstance(self.rep_id, str)):
             raise ValueError(f"rep_id must be a string or null, got {self.rep_id!r}")
-        if self.kind not in REP_KINDS:
-            raise ValueError(f"representation kind must be one of {REP_KINDS}, got {self.kind!r}")
+        _check_one_of("representation kind", self.kind, REP_KINDS)
         if self.kind == "w2v-pretrained" and not self.pretrained_path:
             raise ValueError("w2v-pretrained requires pretrained_path")
         if not (self.max_terms is None or _positive_int(self.max_terms)):
             raise ValueError(f"max_terms must be a positive integer or null, got {self.max_terms!r}")
         if not _positive_int(self.k_per_class):
             raise ValueError(f"k_per_class must be a positive integer, got {self.k_per_class!r}")
-        if self.weighting not in representations.AGG_WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {representations.AGG_WEIGHTINGS}, "
-                f"got {self.weighting!r}"
-            )
-        if self.tcor_idf not in representations.TCOR_IDF_MODES:
-            raise ValueError(
-                f"tcor_idf must be one of {representations.TCOR_IDF_MODES}, "
-                f"got {self.tcor_idf!r}"
-            )
+        _check_one_of("weighting", self.weighting, representations.AGG_WEIGHTINGS)
+        _check_one_of("tcor_idf", self.tcor_idf, representations.TCOR_IDF_MODES)
 
     @property
     def id(self) -> str:
@@ -100,11 +94,7 @@ class ClfConfig:
     def __post_init__(self) -> None:
         if not (_finite_real(self.C) and self.C > 0):
             raise ValueError(f"C must be a finite positive number, got {self.C!r}")
-        if self.bow_weighting not in classifier.BOW_WEIGHTINGS:
-            raise ValueError(
-                f"bow_weighting must be one of {classifier.BOW_WEIGHTINGS}, "
-                f"got {self.bow_weighting!r}"
-            )
+        _check_one_of("bow_weighting", self.bow_weighting, classifier.BOW_WEIGHTINGS)
         if not isinstance(self.standardize, bool):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
 
@@ -189,6 +179,14 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with each quote
+    doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
     """Per-fold accuracy matrix: one row per representation, one column per fold."""
     if not reports:
@@ -198,7 +196,7 @@ def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
     for rep_id in sorted(reports):
         rep = reports[rep_id]
         accs = ",".join(repr(a) for a in rep.fold_accuracies())
-        lines.append(f"{rep_id},{accs},{rep.mean_accuracy!r}")
+        lines.append(f"{_csv_field(rep_id)},{accs},{rep.mean_accuracy!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -311,8 +309,10 @@ def cross_validate(
     the features.  The split, the vocabulary and the count matrices are built
     once per partition and kept on the corpus, so further representations
     run over the same ``(task, k, seed)`` reuse them.  All randomness flows
-    from ``seed``.  A pretrained vector file is read once, before the first
-    fold.
+    from ``seed``: each fold draws its own seed from it, and SSR clustering
+    and skip-gram training use that fold's seed, in place of the seed of
+    ``rep.embedding``.  A pretrained vector file is read once, before the
+    first fold.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
@@ -331,7 +331,7 @@ def cross_validate(
         )
         model = classifier.train_linear_svm(
             x_train,
-            [d.labels[task] for d in train.docs],
+            train.labels(task),
             C=clf.C,
             standardize=clf.standardize,
         )
@@ -394,17 +394,10 @@ class WilcoxonResult:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(sizes)  # a group holds the sorted positions ends - sizes .. ends - 1
+    return (0.5 * (2 * ends - sizes - 1) + 1.0)[group]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w: float) -> float:
@@ -449,6 +442,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_threshold: int = 20) -
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be equal-length 1-d sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired samples must be finite numbers")
     diffs = a - b
     diffs = diffs[diffs != 0.0]
     n = int(diffs.size)
@@ -518,19 +513,17 @@ def collection_stats(corpus: Corpus, task: str, stopwords=None) -> CollectionSta
     shortness = total / len(corpus.docs)
 
     cats = corpus.categories(task)
-    labels = corpus.labels(task)
-    cat_counts = np.array([labels.count(cat) for cat in cats], dtype=np.float64)
+    onehot = np.array([[lab == cat for cat in cats] for lab in corpus.labels(task)], dtype=np.float64)
     ideal = len(corpus.docs) / len(cats)
-    imbalance = float(np.sqrt(np.mean((cat_counts - ideal) ** 2)))
+    imbalance = float(np.sqrt(np.mean((onehot.sum(axis=0) - ideal) ** 2)))
 
-    vocabs = {cat: set() for cat in cats}
-    for doc in corpus.docs:
-        vocabs[doc.labels[task]].update(doc.counts.keys())
-    overlaps = []
-    for cat_a, cat_b in combinations(cats, 2):
-        union = vocabs[cat_a] | vocabs[cat_b]
-        overlaps.append(len(vocabs[cat_a] & vocabs[cat_b]) / len(union) if union else 0.0)
-    hardness = float(np.mean(overlaps)) if overlaps else 0.0
+    # Per pair of categories, the terms both use and the terms either uses.
+    used = (corpus.counts.T @ onehot > 0).astype(np.float64)
+    shared = used.T @ used
+    a, b = np.triu_indices(len(cats), 1)
+    union = shared[a, a] + shared[b, b] - shared[a, b]
+    overlaps = np.divide(shared[a, b], union, out=np.zeros(len(a)), where=union > 0)
+    hardness = float(overlaps.mean()) if len(a) else 0.0
 
     return CollectionStats(ttr, ld, sx, shortness, imbalance, hardness)
 
@@ -584,7 +577,7 @@ def correlation_map_to_csv(table: dict[str, dict[str, float]]) -> str:
     lines = ["representation," + ",".join(CHARACTERISTICS)]
     for rep_id in sorted(table):
         row = table[rep_id]
-        lines.append(rep_id + "," + ",".join(repr(row[c]) for c in CHARACTERISTICS))
+        lines.append(_csv_field(rep_id) + "," + ",".join(repr(row[c]) for c in CHARACTERISTICS))
     return "\n".join(lines) + "\n"
 
 

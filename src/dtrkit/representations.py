@@ -57,10 +57,7 @@ class TermMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.rep_kind not in TERM_MATRIX_KINDS:
-            raise ValueError(
-                f"rep_kind must be one of {TERM_MATRIX_KINDS}, got {self.rep_kind!r}"
-            )
+        _check_one_of("rep_kind", self.rep_kind, TERM_MATRIX_KINDS)
         if not isinstance(self.matrix, np.ndarray) or self.matrix.ndim != 2:
             raise ValueError(f"matrix must be a 2-D numpy array, got {type(self.matrix).__name__}")
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -148,6 +145,11 @@ def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:
         raise ValueError("vocabulary is empty")
 
 
+def _idf(n, df: np.ndarray) -> np.ndarray:
+    """``log(n / df)``, and 0 where ``df`` is 0."""
+    return np.where(df > 0, np.log(n / np.maximum(df, 1.0)), 0.0)
+
+
 def _log_idf(n: np.ndarray, spread: np.ndarray) -> np.ndarray:
     """Weigh the term x feature counts ``n`` in place: ``(1 + log n) * log(|V| / spread)``.
 
@@ -155,11 +157,10 @@ def _log_idf(n: np.ndarray, spread: np.ndarray) -> np.ndarray:
     and ``spread`` broadcasts against ``n`` (one value per column or per
     row).  A zero spread gives zero weight.
     """
-    idf = np.where(spread > 0, np.log(len(n) / np.maximum(spread, 1.0)), 0.0)
     positive = n > 0
     np.log(n, out=n, where=positive)
     n += positive
-    n *= idf
+    n *= _idf(len(n), spread)
     return n
 
 
@@ -196,8 +197,7 @@ def build_tcor(train: Corpus, vocab: Vocabulary, idf_mode: str = "feature-term")
     (``feature-term`` mode, default) or with the represented term t_i
     (``row-term`` mode).  The diagonal is zero: a term is not its own context.
     """
-    if idf_mode not in TCOR_IDF_MODES:
-        raise ValueError(f"idf_mode must be one of {TCOR_IDF_MODES}, got {idf_mode!r}")
+    _check_one_of("idf_mode", idf_mode, TCOR_IDF_MODES)
     _require_nonempty(train, vocab)
     # Nearly every pair of terms shares some document, so the matrix is
     # stored dense; a dense BLAS product of 0/1 counts is exact.
@@ -411,8 +411,7 @@ def aggregate_corpus(
     256 documents, so besides the result the product holds one
     256 x ``len(vocab)`` float64 block.
     """
-    if weighting not in AGG_WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {AGG_WEIGHTINGS}, got {weighting!r}")
+    _check_one_of("weighting", weighting, AGG_WEIGHTINGS)
     if list(tm.terms) != list(vocab.terms):
         raise ValueError("term matrix was built on a different vocabulary")
     counts = count_matrix(docs, vocab)  # shared and read-only
@@ -453,6 +452,13 @@ def _positive_int(value) -> bool:
 
 def _finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_one_of(name: str, value, allowed: tuple):
+    """``value``, if it is one of ``allowed``; ``ValueError`` otherwise."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
 
 
 def _fmt_row(row) -> str:
@@ -564,8 +570,7 @@ def save_term_matrix(tm: TermMatrix, path) -> None:
 def load_term_matrix(path) -> TermMatrix:
     """Load a term matrix written by :func:`save_term_matrix`."""
     reader = _ContainerReader(path, _TERM_MATRIX_MAGIC)
-    kind = reader.field("kind")
-    reader.check(kind in TERM_MATRIX_KINDS, f"kind must be one of {TERM_MATRIX_KINDS}")
+    kind = reader.field("kind", lambda value: _check_one_of("kind", value, TERM_MATRIX_KINDS))
     n_terms, dims, n_features = (reader.count(key) for key in ("terms", "dims", "features"))
     reader.check(n_features in (0, dims), f"'features' must be 0 or 'dims' ({dims})")
     meta = reader.field("meta", json.loads)

@@ -225,6 +225,22 @@ def brute_force_wilcoxon(a, b) -> tuple[float, float, int]:
     return float(w_obs), favorable / (2.0**n), int(n)
 
 
+def naive_imbalance_and_hardness(doc_tokens: list[list[str]], labels: list[str]):
+    """Category-size imbalance and the mean Jaccard overlap of each pair of
+    category vocabularies, with one Python set per category."""
+    cats = sorted(set(labels))
+    sizes = np.array([labels.count(cat) for cat in cats], dtype=np.float64)
+    imbalance = float(np.sqrt(np.mean((sizes - len(labels) / len(cats)) ** 2)))
+    vocabs = {cat: set() for cat in cats}
+    for tokens, label in zip(doc_tokens, labels):
+        vocabs[label].update(tokens)
+    overlaps = []
+    for a, b in itertools.combinations(cats, 2):
+        union = vocabs[a] | vocabs[b]
+        overlaps.append(len(vocabs[a] & vocabs[b]) / len(union) if union else 0.0)
+    return imbalance, float(np.mean(overlaps)) if overlaps else 0.0
+
+
 def naive_information_gain(values, labels) -> float:
     """Entropy reduction of the labels after a binary split of one feature at
     its median (strictly above vs the rest), one ``Counter`` per side."""

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -177,6 +179,8 @@ class TestRun:
             {"initial_lr": float("nan")},
             {"subsample": -1},
             {"seed": 0.5},
+            # Each fold is trained with its own seed; a configured one would be ignored.
+            {"seed": 3},
         ],
     )
     def test_bad_embedding_config_exits_2_before_loading(self, tmp_path, embedding, capsys):
@@ -208,6 +212,16 @@ class TestRun:
                 for bad in ("x/y", "", ".", "..")
             ),
             ({"tasks": ["a/b"]}, "task 'a/b' cannot be part of a file name"),
+            ({"corpora": []}, "config must list at least one corpus under 'corpora'"),
+            ({"corpora": [{"format": "jsonl"}]}, "every corpus entry needs 'path' and 'format'"),
+            ({"corpora": [{"path": "c.jsonl"}]}, "every corpus entry needs 'path' and 'format'"),
+            ({"corpora": [{"path": "c.jsonl", "format": "csv"}]}, "unknown corpus format 'csv'"),
+            ({"representations": []}, "config must list at least one representation"),
+            ({"representations": [{"max_terms": 5}]}, "every representation entry needs a 'kind'"),
+            (
+                {"representations": [{"kind": "bow"}, {"kind": "dor", "rep_id": "bow"}]},
+                "representation ids must be unique, got ['bow', 'bow']",
+            ),
         ],
     )
     def test_malformed_config_shapes_exit_2_before_loading(
@@ -219,6 +233,33 @@ class TestRun:
         config, _ = write_config(tmp_path, bad, **overrides)
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "config file not found: "),
+            ("{not json", "invalid JSON"),
+            ("[1, 2]", "config must be a JSON object"),
+        ],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, text, message, capsys):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_folds_csv_quotes_a_rep_id_holding_a_comma_or_quote(self, tmp_path, synthetic_jsonl):
+        rep_id = 'bow, "tf"'
+        reps = [{"kind": "bow", "rep_id": rep_id}]
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, representations=reps, evaluation={"folds": 2}
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        text = (tmp_path / "reports" / "synthetic_topic_folds.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [4, 4]
+        assert rows[1][0] == rep_id
 
     def test_corpus_path_without_stem_gets_default_name(self, tmp_path, monkeypatch):
         # A pan-dir corpus given as ".." has no usable stem.
@@ -358,6 +399,26 @@ class TestCharacterize:
     def test_nonexistent_path_exits_2(self, tmp_path):
         assert main(["characterize", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_corpus_without_tasks_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"author_id": "u1", "text": "a b"}\n', encoding="utf-8")
+        assert main(["characterize", "--corpus", str(path)]) == 2
+        assert "corpus has no tasks to characterize" in capsys.readouterr().err
+
+    def test_csv_quotes_a_task_holding_a_comma_or_quote(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        task = 'age, "band"'
+        path.write_text(
+            json.dumps({"author_id": "u1", "text": "a b", task: "x"}) + "\n"
+            + json.dumps({"author_id": "u2", "text": "b c", task: "y"}) + "\n",
+            encoding="utf-8",
+        )
+        out_csv = tmp_path / "stats.csv"
+        assert main(["characterize", "--corpus", str(path), "--out", str(out_csv)]) == 0
+        rows = list(csv.reader(io.StringIO(out_csv.read_text(encoding="utf-8"))))
+        assert [len(row) for row in rows] == [7, 7]
+        assert rows[1][0] == task
+
 
 class TestTopTerms:
     def test_discriminative_author_surfaces_topical_words(self, tmp_path, capsys):
@@ -437,6 +498,27 @@ class TestTopTerms:
         listed = [row.split(",")[1] for row in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert calls[0] == list(dict.fromkeys(listed))
         assert len(calls[0]) == 6  # 3 authors in each of the 2 categories
+
+    def test_csv_quotes_ids_and_labels_holding_a_comma_or_quote(self, tmp_path):
+        labels = {"A": 'cat, "a"', "B": "cat,b"}
+        records = [
+            {"author_id": f'{cat}"{i}, x', "text": text, "topic": labels[cat]}
+            for cat, text in (("A", "linux kernel desk"), ("B", "love mall desk"))
+            for i in range(4)
+        ]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out_csv = tmp_path / "top.csv"
+        code = main(
+            ["top-terms", "--corpus", str(path), "--task", "topic", "--count", "2",
+             "--out", str(out_csv)]
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out_csv.read_text(encoding="utf-8"))))
+        assert {len(row) for row in rows} == {6}
+        authors = {r["author_id"]: r["topic"] for r in records}
+        assert all(authors[author] == cat for cat, author, *_ in rows[1:])
+        assert {cat for cat, *_ in rows[1:]} == set(labels.values())
 
     def test_count_zero_empty_report(self, tmp_path, synthetic_jsonl, capsys):
         code = main(

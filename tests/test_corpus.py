@@ -172,6 +172,17 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize("value", [None, 17, True, ["hi"], {"v": "hi"}])
+    def test_text_that_is_not_a_string_rejected(self, tmp_path, value):
+        # str() would turn these into the tokens "none", "17", "[", "'hi'", "]", ...
+        path = tmp_path / "c.jsonl"
+        first = {"author_id": "a0", "text": "a text", "gender": "f"}
+        record = {**first, "author_id": "a1", "text": value}
+        path.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        message = f"{path}:2: 'text' must be a string, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(path, "jsonl")
+
     def test_numeric_author_id_and_label_read_as_text(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"author_id": 17, "text": "a text", "age": 24.5}

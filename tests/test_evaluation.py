@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 from pathlib import Path
@@ -121,6 +123,14 @@ class TestWilcoxon:
             assert res.n == n_want
             assert res.statistic == w_want
             assert res.p_value == p_want  # exact equality of enumeration counts
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # A NaN difference is nonzero, so it used to be ranked and tested.
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([bad] * 6, [0.0] * 6)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([0.1] * 6, [0.2] * 5 + [bad])
 
     def test_zero_differences_dropped(self):
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
@@ -283,6 +293,19 @@ class TestCorrelationMap:
         assert math.isnan(table["dor"]["ttr"])
         csv = correlation_map_to_csv(table)
         assert "nan" in csv
+
+    def test_csv_quotes_a_rep_id_holding_a_comma_or_quote(self):
+        rep_id = 'dor, "idf"'
+        reports = {
+            "g1": {rep_id: fake_report(rep_id, 0.6)},
+            "g2": {rep_id: fake_report(rep_id, 0.8)},
+        }
+        baselines = {"g1": fake_report("bow", 0.5), "g2": fake_report("bow", 0.6)}
+        stats = {"g1": fake_stats(ttr=1.0), "g2": fake_stats(ttr=2.0)}
+        text = correlation_map_to_csv(correlation_map(reports, baselines, stats))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [row[0] for row in rows] == ["representation", rep_id]
+        assert {len(row) for row in rows} == {7}
 
     def test_four_genres_match_direct_pearson(self, rng):
         genres = ["g1", "g2", "g3", "g4"]
@@ -644,6 +667,13 @@ class TestCrossValidate:
         assert lines[0] == "representation,fold0,fold1,fold2,mean"
         assert lines[1].startswith("bow,")
         assert lines[2].startswith("dor,")
+
+    def test_accuracy_csv_quotes_a_rep_id_holding_a_comma_or_quote(self):
+        report = fake_report('a,"b"', 0.5, k=2)
+        report.folds = [FoldResult(0, {}, 0.25, 3), FoldResult(1, {}, 0.75, 3)]
+        text = reports_to_accuracy_csv({report.rep_id: report})
+        assert text.splitlines()[1] == '"a,""b""",0.25,0.75,0.5'
+        assert list(csv.reader(io.StringIO(text)))[1] == ['a,"b"', "0.25", "0.75", "0.5"]
 
 
 class TestSharedFolds:

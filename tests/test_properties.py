@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtrkit import representations
+from dtrkit import embeddings, representations
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
 from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
-from dtrkit.evaluation import stratified_kfold
+from dtrkit.evaluation import collection_stats, stratified_kfold
 from dtrkit.representations import (
     TERM_MATRIX_KINDS,
     TermMatrix,
@@ -27,6 +27,7 @@ from dtrkit.representations import (
 from oracles import (
     naive_count_matrix,
     naive_counts,
+    naive_imbalance_and_hardness,
     naive_kmeans,
     naive_read_word2vec,
     naive_tokenize,
@@ -87,6 +88,17 @@ TOKENIZER_TEXTS = st.text() | st.text(
 @given(TOKENIZER_TEXTS)
 def test_tokenize_matches_naive_tokenize(text):
     assert tokenize(text) == naive_tokenize(text)
+
+
+@given(st.lists(st.tuples(st.lists(TOKENS, max_size=8), st.sampled_from("abc")), min_size=1))
+def test_category_figures_match_naive_sets(docs):
+    tokens, labels = [t for t, _ in docs], [label for _, label in docs]
+    corpus = Corpus(
+        [AuthorDoc(f"d{i}", "", t, {"cat": label}) for i, (t, label) in enumerate(docs)],
+        frozenset({"cat"}),
+    )
+    stats = collection_stats(corpus, "cat", stopwords=())
+    assert (stats.imbalance, stats.hardness) == naive_imbalance_and_hardness(tokens, labels)
 
 
 @st.composite
@@ -442,4 +454,8 @@ def test_read_word2vec_matches_naive_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vectors.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert read_outcome(read_word2vec, path) == read_outcome(naive_read_word2vec, path)
+        expected = read_outcome(naive_read_word2vec, path)
+        # Chunks of 1 and 2 lines put a chunk boundary next to every line.
+        for chunk in (embeddings._READ_CHUNK, 1, 2):
+            with mock.patch.object(embeddings, "_READ_CHUNK", chunk):
+                assert read_outcome(read_word2vec, path) == expected

@@ -560,6 +560,14 @@ def test_malformed_container_names_file_and_line(tmp_path, write, case):
         load(path)
 
 
+def test_unknown_term_matrix_kind_names_file_and_line(tmp_path):
+    path = tmp_path / "m.txt"
+    write_term_matrix(path)
+    path.write_text(path.read_text(encoding="utf-8").replace("kind DOR", "kind LSA"), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad 'kind' value: kind must be one of")):
+        load_term_matrix(path)
+
+
 def test_features_count_other_than_dims_names_file_and_line(tmp_path):
     path = tmp_path / "container.txt"
     write_term_matrix(path)
