@@ -202,10 +202,6 @@ def _rep_from_spec(spec: dict) -> RepConfig:
     if kind is None:
         raise ConfigError("every representation entry needs a 'kind'")
     emb_spec = spec.pop("embedding", None)
-    if isinstance(emb_spec, dict) and "seed" in emb_spec:
-        raise ConfigError(
-            "bad embedding config: 'seed' cannot be set; each fold is trained with its own seed"
-        )
     embedding = None
     if emb_spec is not None:
         try:

@@ -8,7 +8,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,22 @@ def tokenize(text: str) -> list[str]:
     characters become single-character tokens, except that adjacent
     symbol-class characters (emoticons, currency or math signs) stay
     together as one token.  Whitespace only separates; no token is dropped.
+
+    The whole text is lowercased at once (a Greek capital sigma lowercases
+    by the letters around it) and then cut with ``str.split()``.  When every
+    chunk is alphanumeric (``str.isalnum()``), the chunks are the tokens and
+    no regular expression runs; any other document is split by the regular
+    expressions over the whole lowercased text.
     """
-    parts = _RUN_RE.split(text.lower())
+    # Exact because, in CPython, re's \w for str patterns is str.isalnum()
+    # plus "_" and its \s is str.isspace(), which is also what str.split()
+    # cuts on: no token pattern crosses whitespace, and an alphanumeric
+    # chunk is one maximal word run.
+    lowered = text.lower()
+    chunks = lowered.split()
+    if "".join(chunks).isalnum():
+        return chunks
+    parts = _RUN_RE.split(lowered)
     tokens = _TOKEN_RE.findall(parts[0])
     for run, rest in zip(parts[1::2], parts[2::2]):
         for symbol, chars in groupby(run, _is_symbol):
@@ -142,22 +156,38 @@ class Corpus:
     @cached_property
     def terms(self) -> list[str]:
         """Sorted distinct tokens of the documents: the columns of :attr:`counts`."""
-        return sorted(set().union(*(doc.counts for doc in self.docs)))
+        self._count_tokens()
+        return self.terms
 
     @cached_property
     def counts(self) -> sp.csr_matrix:
-        """Float64 CSR docs x :attr:`terms` counts: the one place a token
-        string becomes a column; every document-side statistic slices it."""
-        column = {term: j for j, term in enumerate(self.terms)}
-        indices = [column[term] for doc in self.docs for term in doc.counts]
-        data = [count for doc in self.docs for count in doc.counts.values()]
-        indptr = np.cumsum([0] + [len(doc.counts) for doc in self.docs])
-        mat = sp.csr_matrix(
-            (np.asarray(data, dtype=np.float64), indices, indptr),
-            shape=(len(self.docs), len(self.terms)),
+        """Float64 CSR docs x :attr:`terms` counts with sorted indices: the
+        one place a token string becomes a column; every document-side
+        statistic slices it.
+
+        Built together with :attr:`terms` in one pass that maps every token
+        to its column, with no per-document table.  While it runs it holds,
+        beside the result, a few int64 arrays as long as the corpus's total
+        token count, plus one pointer per token for the column ids.
+        """
+        self._count_tokens()
+        return self.counts
+
+    def _count_tokens(self) -> None:
+        """Set :attr:`terms` and :attr:`counts` from the documents' tokens."""
+        tokens = [doc.tokens for doc in self.docs]
+        self.terms = sorted(set().union(*tokens))
+        column = dict(zip(self.terms, range(len(self.terms))))
+        cols = np.array(list(map(column.__getitem__, chain.from_iterable(tokens))), dtype=np.int64)
+        rows = np.repeat(np.arange(len(tokens), dtype=np.int64), [len(t) for t in tokens])
+        # Sorted (row, column) keys, each distinct pair once with its count.
+        keys, counts = np.unique(rows * len(self.terms) + cols, return_counts=True)
+        rows, cols = np.divmod(keys, max(len(self.terms), 1))
+        indptr = np.zeros(len(tokens) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(tokens)), out=indptr[1:])
+        self.counts = sp.csr_matrix(
+            (counts.astype(np.float64), cols, indptr), shape=(len(tokens), len(self.terms))
         )
-        mat.sort_indices()
-        return mat
 
     def subset(self, indices) -> "Corpus":
         """The documents at ``indices``; their count rows are sliced from this

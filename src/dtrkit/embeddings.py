@@ -4,7 +4,7 @@ word-vector interchange format."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,7 @@ class EmbeddingConfig:
     initial_lr: float = 0.025
     min_count: int = 1
     subsample: float = 0.0  # frequency threshold for subsampling; 0 disables
-    seed: int = 0
+    seed: int | None = None  # None: unset, which train_skipgram reads as 0
 
     def __post_init__(self) -> None:
         for name in ("dim", "window", "epochs", "min_count"):
@@ -53,8 +53,8 @@ class EmbeddingConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not (_integer(self.negatives) and self.negatives >= 0):
             raise ValueError(f"negatives must be a non-negative integer, got {self.negatives!r}")
-        if not _integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (self.seed is None or _integer(self.seed)):
+            raise ValueError(f"seed must be an integer or unset, got {self.seed!r}")
         if not (_finite_real(self.initial_lr) and self.initial_lr > 0):
             raise ValueError(f"initial_lr must be a finite positive number, got {self.initial_lr!r}")
         if not (_finite_real(self.subsample) and self.subsample >= 0):
@@ -161,13 +161,15 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
     per batch, decayed linearly over the tokens to a floor of
     ``initial_lr * LR_FLOOR_RATIO``.  Terms rarer than ``min_count`` keep an
     all-zero row.  Deterministic for a fixed seed; the per-epoch mean pair
-    loss lands in ``meta["objective"]``.
+    loss lands in ``meta["objective"]``.  An unset seed trains with seed 0.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     if not corpus.docs:
         raise ValueError("corpus is empty")
     cfg = cfg or EmbeddingConfig()
+    if cfg.seed is None:
+        cfg = replace(cfg, seed=0)
     rng = np.random.default_rng(cfg.seed % (2**63))
 
     freqs = np.array([vocab.freq[t] for t in vocab.terms], dtype=np.float64)

@@ -54,8 +54,8 @@ CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 class RepConfig:
     """Representation to build per fold, with its knobs.
 
-    ``embedding`` configures ``w2v-train``.  Its ``seed`` is not used:
-    :func:`cross_validate` trains each fold with that fold's seed.
+    ``embedding`` configures ``w2v-train``.  Its ``seed`` must be left
+    unset: :func:`cross_validate` trains each fold with that fold's seed.
     """
 
     kind: str = "bow"
@@ -79,6 +79,10 @@ class RepConfig:
             raise ValueError(f"k_per_class must be a positive integer, got {self.k_per_class!r}")
         _check_one_of("weighting", self.weighting, representations.AGG_WEIGHTINGS)
         _check_one_of("tcor_idf", self.tcor_idf, representations.TCOR_IDF_MODES)
+        if self.embedding is not None and self.embedding.seed is not None:
+            raise ValueError(
+                "embedding seed cannot be set; each fold is trained with its own seed"
+            )
 
     @property
     def id(self) -> str:
@@ -310,8 +314,8 @@ def cross_validate(
     once per partition and kept on the corpus, so further representations
     run over the same ``(task, k, seed)`` reuse them.  All randomness flows
     from ``seed``: each fold draws its own seed from it, and SSR clustering
-    and skip-gram training use that fold's seed, in place of the seed of
-    ``rep.embedding``.  A pretrained vector file is read once, before the
+    and skip-gram training use that fold's seed (``rep.embedding`` may not
+    set one).  A pretrained vector file is read once, before the
     first fold.
     """
     rep = rep or RepConfig()

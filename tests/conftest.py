@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dtrkit.corpus import AuthorDoc, Corpus
+
+# CI runs every property test on more examples (pytest
+# --hypothesis-profile=ci); a local run keeps the defaults and its runtime.
+# A test's own settings still take precedence.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def corpus_from_tokens(token_lists, labels=None, task="cat"):

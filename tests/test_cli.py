@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtrkit
 from dtrkit import evaluation, representations
 from dtrkit.cli import main
 from dtrkit.corpus import save_jsonl
@@ -260,6 +265,29 @@ class TestRun:
         rows = list(csv.reader(io.StringIO(text)))
         assert [len(row) for row in rows] == [4, 4]
         assert rows[1][0] == rep_id
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path, synthetic_jsonl):
+        # TCOR, aggregation and SSR k-means run dense products that OpenBLAS
+        # may split across threads; no report byte may follow the split.
+        reps = [{"kind": kind} for kind in ("bow", "dor", "tcor", "ssr")]
+        reps.append({"kind": "w2v-train", "embedding": {"dim": 8, "epochs": 1}})
+        src = str(Path(dtrkit.__file__).resolve().parent.parent)
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            config, _ = write_config(
+                tmp_path, synthetic_jsonl, output_dir=str(out), representations=reps,
+                evaluation={"folds": 3, "baselines": ["bow"]},
+            )
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "dtrkit.cli", "run", "--config", str(config)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(written[0]) == 6
+        assert written[0] == written[1]
 
     def test_corpus_path_without_stem_gets_default_name(self, tmp_path, monkeypatch):
         # A pan-dir corpus given as ".." has no usable stem.

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,17 @@ class TestTrainSkipgram:
         first = train_skipgram(corpus, vocab, cfg)
         second = train_skipgram(corpus, vocab, cfg)
         np.testing.assert_array_equal(first.matrix, second.matrix)
+
+    def test_unset_seed_trains_as_seed_zero(self):
+        corpus = identical_context_corpus(repeats=5)
+        vocab = build_vocabulary(corpus)
+        unset = train_skipgram(corpus, vocab, EmbeddingConfig(dim=9, epochs=2))
+        zero = train_skipgram(corpus, vocab, EmbeddingConfig(dim=9, epochs=2, seed=0))
+        np.testing.assert_array_equal(unset.matrix, zero.matrix)
+        assert unset.meta == zero.meta
+        assert train_skipgram(corpus, vocab).meta == train_skipgram(
+            corpus, vocab, EmbeddingConfig(seed=0)
+        ).meta
 
     def test_no_nan_or_inf(self):
         corpus = identical_context_corpus(repeats=10)
@@ -288,6 +302,32 @@ class TestWord2vecFormat:
         path.write_text("5 2\nfoo 1 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="announces"):
             read_word2vec(path)
+
+    def test_header_announcing_more_rows_than_the_file_holds(self, tmp_path):
+        # Sized from the header alone, the matrix would take 800 TB.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{10**12} 100\nfoo" + " 1" * 100 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"announces {10**12} vectors, file has 1$"):
+            read_word2vec(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # A pipe has no byte length to size anything by; rows span 3 chunks.
+        rows = np.arange(2500 * 3, dtype=np.float64).reshape(2500, 3)
+        text = "2500 3\n" + "".join(f"w{i} {a} {b} {c}\n" for i, (a, b, c) in enumerate(rows))
+        path = tmp_path / "vec.fifo"
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        words, matrix = read_word2vec(path)
+        writer.join(timeout=10)
+        assert words == [f"w{i}" for i in range(2500)]
+        np.testing.assert_array_equal(matrix, rows)
 
     def test_duplicate_words_keep_first(self, tmp_path):
         path = tmp_path / "vec.txt"

@@ -805,6 +805,15 @@ class TestRepConfig:
         with pytest.raises(ValueError, match="pretrained_path"):
             RepConfig(kind="w2v-pretrained")
 
+    def test_embedding_seed_rejected(self):
+        from dtrkit.embeddings import EmbeddingConfig
+
+        # cross_validate trains each fold with its own seed; a set one would be ignored.
+        for seed in (0, 3):
+            with pytest.raises(ValueError, match="seed"):
+                RepConfig(kind="w2v-train", embedding=EmbeddingConfig(dim=8, seed=seed))
+        assert RepConfig(kind="w2v-train", embedding=EmbeddingConfig(dim=8)).embedding.seed is None
+
     def test_id_defaults_to_kind(self):
         assert RepConfig(kind="dor").id == "dor"
         assert RepConfig(kind="dor", rep_id="dor-mean").id == "dor-mean"

@@ -76,16 +76,25 @@ def test_tokenize_keeps_every_non_space_character(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
-# Letters (one that lowercases to two characters), digits, apostrophes,
-# underscores, punctuation, currency and math symbols, emoji, a combining mark
-# and whitespace, so symbol runs touch words, punctuation and each other.
+# Letters (one that lowercases to two characters, and a capital sigma whose
+# lowercase depends on its neighbours), ASCII and non-ASCII digits,
+# apostrophes, underscores, punctuation, currency and math symbols, emoji, a
+# combining mark, and whitespace as str.split() sees it (the no-break, em and
+# ideographic spaces, NEL and the separators U+001C-U+001F), so symbol runs
+# touch words, punctuation and each other across every kind of space.
 TOKENIZER_TEXTS = st.text() | st.text(
-    alphabet="aZ\u00e9\u01309_'\u2019.,!?:;-()#@%$\u20ac\u00a3+=<>~^|\u2192\u00a9"
-    "\U0001F600\U0001F44D\u0301 \t\n"
+    alphabet="aZ\u00e9\u0130\u03a39\u0663\u00b2_'\u2019.,!?:;-()#@%$\u20ac\u00a3+=<>~^|"
+    "\u2192\u00a9\U0001F600\U0001F44D\u0301 \t\n\u00a0\u2003\u3000\u0085\x1c\x1d\x1e\x1f"
 )
 
 
 @given(TOKENIZER_TEXTS)
+# Every chunk alphanumeric: the whole document is split with no regular expression.
+@example("Hello World 42 \u0663\u00b2 \u00c9T\u00c9\u3000\u039f\u0394\u039f\u03a3\x1cZ")
+# "_" is a word character to re but not alphanumeric: this one takes the regular expressions.
+@example("snake_case words")
+# Alphanumeric chunks between chunks that take the regular expressions.
+@example("Don't\u00a0stop:) \u20ac5 \u039f\u03a3, x_y \u00e9\u0301\u0085?! \U0001F600\U0001F44D ok")
 def test_tokenize_matches_naive_tokenize(text):
     assert tokenize(text) == naive_tokenize(text)
 
