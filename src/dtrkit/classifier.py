@@ -102,21 +102,54 @@ class ConvergenceWarning(RuntimeWarning):
     """An SVM machine reached ``max_epochs`` with its KKT violation still at or above ``tol``."""
 
 
-def _bpp(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, tol: float, max_epochs: int):
+def _refine(aug: np.ndarray, rows, solve, lam: float, y: np.ndarray, b: np.ndarray):
+    """One step of iterative refinement of ``G b = y``, ``G = A A' + lam I`` with
+    ``A = aug[rows]`` and ``solve(r) = G^-1 r``, that also refines the primal
+    weights ``w = A' b``.  ``y`` and ``b`` may hold one column per machine.
+
+    When ``lam`` is small and many rows are support vectors, ``b`` is large
+    and ``A' b`` cancels to a small ``w``, so a refined ``b`` still carries
+    its rounding into ``w``.  The residual is therefore taken against the
+    computed ``w``, ``y - A w - lam b``, and its correction ``c`` is added to
+    both: ``b + c`` and ``w + A' c``.  ``A`` itself is never copied out of
+    ``aug``.
+    """
+
+    def primal(v: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(aug),) + v.shape[1:])
+        full[rows] = v
+        return aug.T @ full
+
+    w = primal(b)
+    c = solve(y - (aug @ w)[rows] - lam * b)
+    return b + c, w + primal(c)
+
+
+def _bpp(
+    G: np.ndarray,
+    aug: np.ndarray,
+    lam: float,
+    y: np.ndarray,
+    alpha: np.ndarray,
+    w: np.ndarray,
+    tol: float,
+    max_epochs: int,
+):
     """Block principal pivoting on the squared-hinge dual, ``G = K + I/(2C)``.
 
-    Dual: min 1/2 a'Qa - sum a over a >= 0, Q = D G D, D = diag(y).  Each
-    iteration solves Q_FF a_F = 1 on the free set F (a = 0 off it), that is
-    G_FF b = y_F with a_F = y_F b as D^2 = I; ``alpha`` is the solution with
-    every index free.  Every KKT violator (free with a_i < 0, bound with
-    gradient < 0) then changes sides; once their count has not fallen for 3
-    iterations, only the one with the largest index does (Murty's rule),
-    which makes the method finite as Q is positive definite (Kim & Park
-    2011).  It also stops at a feasible iterate whose violation is below
-    ``tol``.  When it pivoted, its last solve gets one step of iterative
-    refinement, ``b += solve(G_FF, y_F - G_FF b)``, as ``alpha`` did.  Returns
-    the dual variables and the run record without the duality gap, which
-    needs the primal weights.
+    Dual: min 1/2 a'Qa - sum a over a >= 0, Q = D G D, D = diag(y), where
+    ``K = aug aug'`` and ``lam = 1/(2C)``.  Each iteration solves
+    Q_FF a_F = 1 on the free set F (a = 0 off it), that is G_FF b = y_F with
+    a_F = y_F b as D^2 = I; ``alpha`` is the solution with every index free
+    and ``w`` its primal weights.  Every KKT violator (free with a_i < 0,
+    bound with gradient < 0) then changes sides; once their count has not
+    fallen for 3 iterations, only the one with the largest index does
+    (Murty's rule), which makes the method finite as Q is positive definite
+    (Kim & Park 2011).  It also stops at a feasible iterate whose violation
+    is below ``tol``.  When it pivoted, its last solve gets one step of
+    refinement that also gives the primal weights (see :func:`_refine`), as
+    ``alpha`` and ``w`` did.  Returns the dual variables, the primal weights
+    and the run record without the duality gap.
     """
     free = np.ones(len(y), dtype=bool)
     fewest, backup, epochs = len(y) + 1, 3, 1
@@ -141,9 +174,11 @@ def _bpp(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, tol: float, max_epochs
         alpha[idx] = y[idx] * b
         epochs += 1
     if epochs > 1:
-        # One step of iterative refinement on the last free-set solve.
-        alpha[idx] = y[idx] * (b + np.linalg.solve(G_FF, y[idx] - G_FF @ b))
-    alpha = np.maximum(alpha, 0.0)
+        b, w = _refine(aug, idx, lambda r: np.linalg.solve(G_FF, r), lam, y[idx], b)
+        alpha[idx] = y[idx] * b
+    if (alpha < 0.0).any():
+        alpha = np.maximum(alpha, 0.0)
+        w = aug.T @ (alpha * y)
     grad = y * (G @ (alpha * y)) - 1.0
     viol = float(np.where(alpha > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max())
     info = {
@@ -152,7 +187,7 @@ def _bpp(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, tol: float, max_epochs
         "final_violation": viol,
         "converged": bool(viol < tol),
     }
-    return alpha, info
+    return alpha, w, info
 
 
 def train_linear_svm(
@@ -199,20 +234,21 @@ def train_linear_svm(
     aug = np.hstack([mat, np.ones((mat.shape[0], 1))])
     # One n_train x n_train Gram matrix, shared by every machine, with the
     # dual's I/(2C) term added in place.
+    lam = 1.0 / (2.0 * C)
     G = aug @ aug.T
-    G.flat[:: len(G) + 1] += 1.0 / (2.0 * C)
+    G.flat[:: len(G) + 1] += lam
     machines = categories[:1] if len(categories) == 2 else categories
     ys = np.where(np.array(labels) == np.array(machines)[:, np.newaxis], 1.0, -1.0)
     # Every machine starts with all points free: one solve, one column per
-    # machine, and one step of iterative refinement for all of them.
-    starts = np.linalg.solve(G, ys.T)
-    starts += np.linalg.solve(G, ys.T - G @ starts)
+    # machine, and one step of refinement for all of them (see _refine).
+    starts, start_w = _refine(
+        aug, slice(None), lambda r: np.linalg.solve(G, r), lam, ys.T, np.linalg.solve(G, ys.T)
+    )
     starts = ys * starts.T
     weights = np.zeros((len(machines), aug.shape[1]))
     runs = []
     for m, (cat, ybin) in enumerate(zip(machines, ys)):
-        alpha, info = _bpp(G, ybin, starts[m], tol, max_epochs)
-        w = aug.T @ (alpha * ybin)
+        alpha, w, info = _bpp(G, aug, lam, ybin, starts[m], start_w[:, m], tol, max_epochs)
         weights[m] = w
         hinge = np.maximum(1.0 - ybin * (aug @ w), 0.0)
         primal = 0.5 * (w @ w) + C * (hinge @ hinge)

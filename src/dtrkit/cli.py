@@ -158,11 +158,13 @@ def _load_run_config(args) -> dict:
             raise ConfigError(f"unknown corpus format {spec['format']!r}")
         if not Path(spec["path"]).exists():
             raise ConfigError(f"corpus path does not exist: {spec['path']}")
+    _check_unique([spec["name"] for spec in corpora], "corpus names")
     tasks = cfg.get("tasks")
     if not (_string_list(tasks) and tasks):
         raise ConfigError(f"'tasks' must be a non-empty list of strings, got {tasks!r}")
     for task in tasks:
         _check_file_name_part(task, "task")
+    _check_unique(tasks, "tasks")
     if not cfg.get("representations"):
         raise ConfigError("config must list at least one representation")
     cfg.setdefault("output_dir", "reports")
@@ -192,6 +194,12 @@ def _check_file_name_part(value, what: str) -> None:
     part that is not a plain file name before anything runs."""
     if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
         raise ConfigError(f"{what} {value!r} cannot be part of a file name")
+
+
+def _check_unique(values: list[str], what: str) -> None:
+    """Refuse a repeated name: its report files would overwrite the first one's."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{what} must be unique, got {values}")
 
 
 def _rep_from_spec(spec: dict) -> RepConfig:
@@ -230,8 +238,7 @@ def _cmd_run(args) -> int:
         if rep.kind == "w2v-pretrained" and not Path(rep.pretrained_path).is_file():
             raise ConfigError(f"pretrained vectors file not found: {rep.pretrained_path}")
     rep_ids = [rep.id for rep in reps]
-    if len(set(rep_ids)) != len(rep_ids):
-        raise ConfigError(f"representation ids must be unique, got {rep_ids}")
+    _check_unique(rep_ids, "representation ids")
     baselines = cfg["evaluation"].get("baselines")
     if baselines is None:
         baselines = ["bow"] if "bow" in rep_ids else []
@@ -341,8 +348,9 @@ def _cmd_top_terms(args) -> int:
         return 0
 
     vocab = build_vocabulary(corpus, args.max_terms)
-    tm = representations.build_dor(corpus, vocab)
-    doc_vectors = representations.aggregate_corpus(corpus, tm, vocab)
+    docs = representations._over_vocabulary(corpus, vocab)  # one count matrix for both
+    tm = representations.build_dor(docs, vocab)
+    doc_vectors = representations.aggregate_corpus(docs, tm, vocab)
     labels = corpus.labels(args.task)
 
     # Rank the occurrence-profile features (one per author) by how much the

@@ -26,12 +26,39 @@ __all__ = [
 
 CORPUS_FORMATS = ("pan-dir", "jsonl")
 
-# Word tokens are maximal runs of letters, digits, and apostrophes; any other
-# non-space character is matched on its own.
-_TOKEN_RE = re.compile(r"(?:[^\W_]+|')+|\S")
-# Runs of two or more adjacent characters outside \w, \s and the apostrophe.
-# No symbol character is in \w, so two symbols can only touch inside a run.
-_RUN_RE = re.compile(r"([^\w\s']{2,})")
+
+def _patterns(marks: str) -> tuple[re.Pattern, re.Pattern]:
+    """The token and run expressions of a text whose combining marks
+    (Unicode category M*, which ``re`` has no class for) are ``marks``.
+
+    Word tokens are maximal runs of letters, digits, apostrophes and marks;
+    any other non-space character is matched on its own.  A run is two or
+    more adjacent characters outside whitespace, the apostrophe, the marks
+    and ``re``'s word class (letters, digits and ``_``).  No symbol
+    character is in that class, so two symbols can only touch inside a run.
+    """
+    return re.compile(rf"(?:[^\W_]+|['{marks}])+|\S"), re.compile(rf"([^\w\s'{marks}]{{2,}})")
+
+
+# The combining marks met so far and their expressions.  A mark the text
+# lacks changes no match in it, so they are rebuilt only for a new mark:
+# at most once per distinct mark, however many mark sets the texts have.
+# Each call returns expressions that hold its own text's marks, so an update
+# lost between threads costs one more rebuild, never a wrong token.
+_marks_seen = (frozenset(), *_patterns(""))
+
+
+def _expressions(lowered: str) -> tuple[re.Pattern, re.Pattern]:
+    """Token and run expressions whose marks include every mark of ``lowered``."""
+    global _marks_seen
+    marks, token_re, run_re = _marks_seen
+    if not lowered.isascii():
+        new = {ch for ch in set(lowered) - marks if unicodedata.category(ch).startswith("M")}
+        if new:
+            marks = marks | new
+            token_re, run_re = _patterns("".join(sorted(marks)))
+            _marks_seen = (marks, token_re, run_re)
+    return token_re, run_re
 
 
 def _is_symbol(ch: str) -> bool:
@@ -41,8 +68,9 @@ def _is_symbol(ch: str) -> bool:
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it into word and symbol tokens.
 
-    Runs of letters/digits/apostrophes form word tokens.  Punctuation
-    characters become single-character tokens, except that adjacent
+    Runs of letters/digits/apostrophes and combining marks (Unicode category
+    M*, so a decomposed accent stays in its word) form word tokens.
+    Punctuation characters become single-character tokens, except that adjacent
     symbol-class characters (emoticons, currency or math signs) stay
     together as one token.  Whitespace only separates; no token is dropped.
 
@@ -60,15 +88,16 @@ def tokenize(text: str) -> list[str]:
     chunks = lowered.split()
     if "".join(chunks).isalnum():
         return chunks
-    parts = _RUN_RE.split(lowered)
-    tokens = _TOKEN_RE.findall(parts[0])
+    token_re, run_re = _expressions(lowered)
+    parts = run_re.split(lowered)
+    tokens = token_re.findall(parts[0])
     for run, rest in zip(parts[1::2], parts[2::2]):
         for symbol, chars in groupby(run, _is_symbol):
             if symbol:
                 tokens.append("".join(chars))
             else:
                 tokens.extend(chars)
-        tokens.extend(_TOKEN_RE.findall(rest))
+        tokens.extend(token_re.findall(rest))
     return tokens
 
 
@@ -100,12 +129,7 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.tasks = frozenset(self.tasks)
-        # Derived state, kept while the documents stay as they are: the
-        # latest (vocabulary, count matrix) pair of
-        # representations.count_matrix, and the latest fold partition of
-        # evaluation.cross_validate with its per-fold records.
-        self._count_memo: tuple | None = None
-        self._folds: tuple | None = None
+        self._folds: tuple | None = None  # evaluation.cross_validate's latest partition
         self._rows: dict[str, int] = {}
         for row, doc in enumerate(self.docs):
             if doc.author_id.splitlines() != [doc.author_id]:
@@ -161,9 +185,9 @@ class Corpus:
 
     @cached_property
     def counts(self) -> sp.csr_matrix:
-        """Float64 CSR docs x :attr:`terms` counts with sorted indices: the
-        one place a token string becomes a column; every document-side
-        statistic slices it.
+        """Read-only float64 CSR docs x :attr:`terms` counts with sorted
+        indices: the one place a token string becomes a column; every
+        document-side statistic slices it.
 
         Built together with :attr:`terms` in one pass that maps every token
         to its column, with no per-document table.  While it runs it holds,
@@ -185,9 +209,8 @@ class Corpus:
         rows, cols = np.divmod(keys, max(len(self.terms), 1))
         indptr = np.zeros(len(tokens) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(tokens)), out=indptr[1:])
-        self.counts = sp.csr_matrix(
-            (counts.astype(np.float64), cols, indptr), shape=(len(tokens), len(self.terms))
-        )
+        shape = (len(tokens), len(self.terms))
+        self.counts = _read_only(sp.csr_matrix((counts.astype(np.float64), cols, indptr), shape))
 
     def subset(self, indices) -> "Corpus":
         """The documents at ``indices``; their count rows are sliced from this
@@ -197,8 +220,15 @@ class Corpus:
         rows = self.counts[indices]
         keep = np.flatnonzero(rows.getnnz(axis=0))
         child.terms = [self.terms[j] for j in keep]
-        child.counts = rows[:, keep]
+        child.counts = _read_only(rows[:, keep])
         return child
+
+
+def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix``, its arrays flagged read-only: every count matrix is shared."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
 
 def load_corpus(path, format: str = "jsonl") -> Corpus:
@@ -222,18 +252,17 @@ def _load_pan_dir(root: Path) -> Corpus:
     if not truth_path.is_file():
         raise FileNotFoundError(f"missing truth file: {truth_path}")
     truth: dict[str, dict[str, str]] = {}
-    with open(truth_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split(":::")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{truth_path}:{lineno}: expected 'author_id:::gender:::age', got {stripped!r}"
-                )
-            author_id, gender, age = (part.strip() for part in parts)
-            truth[author_id] = {"gender": gender, "age": age}
+    for lineno, line in enumerate(_read_text(truth_path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        parts = stripped.split(":::")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{truth_path}:{lineno}: expected 'author_id:::gender:::age', got {stripped!r}"
+            )
+        author_id, gender, age = (part.strip() for part in parts)
+        truth[author_id] = {"gender": gender, "age": age}
 
     docs = []
     found: set[str] = set()
@@ -243,7 +272,7 @@ def _load_pan_dir(root: Path) -> Corpus:
         author_id = txt.stem
         if author_id not in truth:
             raise ValueError(f"no truth entry for author {author_id!r} ({txt.name})")
-        docs.append(AuthorDoc.from_text(author_id, txt.read_text(encoding="utf-8"), truth[author_id]))
+        docs.append(AuthorDoc.from_text(author_id, _read_text(txt), truth[author_id]))
         found.add(author_id)
     orphans = sorted(set(truth) - found)
     if orphans:
@@ -255,37 +284,49 @@ def _load_pan_dir(root: Path) -> Corpus:
 def _load_jsonl(path: Path) -> Corpus:
     docs = []
     tasks: frozenset[str] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "author_id" not in record or "text" not in record:
-                raise ValueError(f"{path}:{lineno}: record needs 'author_id' and 'text' keys")
-            where = f"{path}:{lineno}"
-            labels = {
-                k: _name_value(v, k, where)
-                for k, v in record.items()
-                if k not in ("author_id", "text")
-            }
-            record_tasks = frozenset(labels)
-            if tasks is None:
-                tasks = record_tasks
-            elif record_tasks != tasks:
-                raise ValueError(
-                    f"{path}:{lineno}: label keys {sorted(record_tasks)} do not match "
-                    f"earlier records {sorted(tasks)}"
-                )
-            author_id = _name_value(record["author_id"], "author_id", where)
-            text = record["text"]
-            if not isinstance(text, str):
-                raise ValueError(f"{where}: 'text' must be a string, got {json.dumps(text)}")
-            docs.append(AuthorDoc.from_text(author_id, text, labels))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict) or "author_id" not in record or "text" not in record:
+            raise ValueError(f"{path}:{lineno}: record needs 'author_id' and 'text' keys")
+        where = f"{path}:{lineno}"
+        labels = {
+            k: _name_value(v, k, where)
+            for k, v in record.items()
+            if k not in ("author_id", "text")
+        }
+        record_tasks = frozenset(labels)
+        if tasks is None:
+            tasks = record_tasks
+        elif record_tasks != tasks:
+            raise ValueError(
+                f"{path}:{lineno}: label keys {sorted(record_tasks)} do not match "
+                f"earlier records {sorted(tasks)}"
+            )
+        author_id = _name_value(record["author_id"], "author_id", where)
+        text = record["text"]
+        if not isinstance(text, str):
+            raise ValueError(f"{where}: 'text' must be a string, got {json.dumps(text)}")
+        docs.append(AuthorDoc.from_text(author_id, text, labels))
     docs.sort(key=lambda d: d.author_id)
     return Corpus(docs, tasks if tasks is not None else frozenset())
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path`` with its line ends made ``"\\n"``, as a
+    file opened in text mode reads it.  A byte that is not UTF-8 raises
+    ``ValueError`` naming the file and the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _name_value(value, key: str, where: str) -> str:

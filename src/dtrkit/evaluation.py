@@ -259,31 +259,28 @@ def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
 
 @dataclass
 class _Fold:
-    """One fold of a partition: its training and test documents and, per
-    ``max_terms``, the vocabulary of the training documents."""
+    """One fold: its training and test rows and, per ``max_terms``, a triple of
+    the training vocabulary and both sides over it (never its corpus, which holds it)."""
 
-    train: Corpus
-    test: Corpus
-    vocabs: dict = field(default_factory=dict)
+    train_idx: list[int]
+    test_idx: list[int]
+    sides: dict = field(default_factory=dict)
 
-    def vocabulary(self, max_terms: int | None) -> Vocabulary:
-        if max_terms not in self.vocabs:
-            vocab = build_vocabulary(self.train, max_terms)
-            for side in (self.train, self.test):
-                representations.count_matrix(side, vocab)
-                # The count matrix holds what the fold reads; the corpus
-                # rebuilds its own counts from its documents if asked again.
-                del side.counts
-            self.vocabs[max_terms] = vocab
-        return self.vocabs[max_terms]
+    def over_vocabulary(self, corpus: Corpus, max_terms: int | None) -> tuple:
+        if max_terms not in self.sides:
+            train, test = corpus.subset(self.train_idx), corpus.subset(self.test_idx)
+            vocab = build_vocabulary(train, max_terms)
+            for side in (train, test):  # temporaries, so restricted in place
+                side.terms, side.counts = vocab.terms, representations.count_matrix(side, vocab)
+            self.sides[max_terms] = (vocab, train, test)
+        return self.sides[max_terms]
 
 
 def _folds(corpus: Corpus, task: str, k: int, seed: int) -> list[_Fold]:
     """The folds of the ``(task, k, seed)`` partition of ``corpus``.
 
     The corpus keeps the latest partition, so every representation run on
-    it shares one split, one vocabulary per ``max_terms`` and, through
-    :func:`representations.count_matrix`, one count matrix per fold side.
+    it shares one split and each fold's sides over each of its vocabularies.
     """
     key = (task, k, seed)
     if corpus._folds is None or corpus._folds[0] != key:
@@ -291,7 +288,7 @@ def _folds(corpus: Corpus, task: str, k: int, seed: int) -> list[_Fold]:
         for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
             test_set = set(test_idx)
             train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
-            folds.append(_Fold(corpus.subset(train_idx), corpus.subset(test_idx)))
+            folds.append(_Fold(train_idx, test_idx))
         corpus._folds = (key, folds)
     return corpus._folds[1]
 
@@ -310,13 +307,12 @@ def cross_validate(
 
     Each fold's vocabulary and all representation state come from its
     training documents only, so no test text, count, or label can leak into
-    the features.  The split, the vocabulary and the count matrices are built
-    once per partition and kept on the corpus, so further representations
-    run over the same ``(task, k, seed)`` reuse them.  All randomness flows
-    from ``seed``: each fold draws its own seed from it, and SSR clustering
-    and skip-gram training use that fold's seed (``rep.embedding`` may not
-    set one).  A pretrained vector file is read once, before the
-    first fold.
+    the features.  The split is kept on the corpus, each fold keeps its vocabulary
+    per ``max_terms`` and both sides over it, and further representations run over
+    the same ``(task, k, seed)`` reuse them.  All randomness flows from ``seed``:
+    each fold draws its own seed from it, and SSR clustering and skip-gram training
+    use that fold's seed (``rep.embedding`` may not set one).  A pretrained vector
+    file is read once, before the first fold.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
@@ -327,9 +323,8 @@ def cross_validate(
     results: list[FoldResult] = []
     matrices: list = []
     for fold_idx, fold in enumerate(folds):
-        train, test = fold.train, fold.test
+        vocab, train, test = fold.over_vocabulary(corpus, rep.max_terms)
         fold_seed = _fold_seed(seed, fold_idx)
-        vocab = fold.vocabulary(rep.max_terms)
         x_train, x_test, tm = _fold_features(
             train, test, task, vocab, rep, clf, fold_seed, vectors
         )

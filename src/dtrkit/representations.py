@@ -12,12 +12,11 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, _read_only, _read_text
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -113,17 +112,15 @@ class SubprofileAssignment:
 
 
 def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
-    """Sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
+    """Read-only sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
 
     The columns of ``corpus.counts`` whose terms are in ``vocab`` (which may
-    come from any corpus), relabelled with vocabulary ids.  The corpus keeps
-    the latest result and hands the same read-only matrix out again while
-    the same ``vocab`` object is passed, so every builder of a fold reads one
-    matrix per fold side.
+    come from any corpus), relabelled with vocabulary ids: a new matrix on
+    each call, unless the corpus's columns already are ``vocab.terms`` (a
+    fold side), whose own ``counts`` every builder of the fold then reads.
     """
-    memo = corpus._count_memo
-    if memo is not None and memo[0] is vocab:
-        return memo[1]
+    if corpus.terms is vocab.terms:
+        return corpus.counts
     ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
     present = np.flatnonzero(ids >= 0)
     # Corpus column j goes to vocabulary column ids[j], each count times 1.0.
@@ -131,11 +128,15 @@ def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
     select = sp.csr_matrix(
         (np.ones(present.size), (present, ids[present])), shape=(len(corpus.terms), len(vocab))
     )
-    mat = (corpus.counts @ select).tocsc().tocsr()
-    for array in (mat.data, mat.indices, mat.indptr):
-        array.flags.writeable = False
-    corpus._count_memo = (vocab, mat)
-    return mat
+    return _read_only((corpus.counts @ select).tocsc().tocsr())
+
+
+def _over_vocabulary(corpus: Corpus, vocab: Vocabulary) -> Corpus:
+    """A new corpus of ``corpus``'s documents over the columns ``vocab.terms``, which
+    are not sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf."""
+    side = Corpus(list(corpus.docs), corpus.tasks)
+    side.terms, side.counts = vocab.terms, count_matrix(corpus, vocab)
+    return side
 
 
 def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:
@@ -504,12 +505,7 @@ class _ContainerReader:
     and the line."""
 
     def __init__(self, path, magic: str) -> None:
-        data = Path(path).read_bytes()
-        try:
-            self.lines = data.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            line = data[: exc.start].count(b"\n") + 1
-            raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+        self.lines = _read_text(path).splitlines()
         self.path, self.pos = path, 0  # pos: number of the line last read
         self.check(self._next("the first line") == magic, f"first line is not {magic!r}")
 

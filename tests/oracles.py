@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import unicodedata
 from collections import Counter
 
@@ -19,23 +18,39 @@ from scipy.stats import rankdata
 
 
 def naive_tokenize(text: str) -> list[str]:
-    """Match by match: runs of letters/digits/apostrophes, else one non-space
-    character; a match made only of symbol-class characters (Unicode
-    category S*) joins the previous token when both touch and that token is
-    all symbols too."""
+    """Character by character: a maximal run of letters, digits, apostrophes
+    and combining marks (Unicode category M*) is one match, any other
+    non-space character a match of its own; a match made only of
+    symbol-class characters (category S*) joins the previous token when both
+    touch and that token is all symbols too."""
+
+    def in_word(ch: str) -> bool:
+        return ch.isalnum() or ch == "'" or unicodedata.category(ch).startswith("M")
+
+    lowered = text.lower()
+    matches = []  # (start, end) of each match
+    start = 0
+    while start < len(lowered):
+        end = start + 1
+        if in_word(lowered[start]):
+            while end < len(lowered) and in_word(lowered[end]):
+                end += 1
+        if not lowered[start].isspace():
+            matches.append((start, end))
+        start = end
     tokens: list[str] = []
     prev_end = -1
-    for match in re.finditer(r"(?:[^\W_]|')+|\S", text.lower()):
-        tok = match.group()
+    for start, end in matches:
+        tok = lowered[start:end]
         if (
             tokens
-            and match.start() == prev_end
+            and start == prev_end
             and all(unicodedata.category(ch).startswith("S") for ch in tok + tokens[-1])
         ):
             tokens[-1] += tok
         else:
             tokens.append(tok)
-        prev_end = match.end()
+        prev_end = end
     return tokens
 
 

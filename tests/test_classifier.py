@@ -122,6 +122,22 @@ class TestTrainLinearSvm:
             assert abs(run["duality_gap"]) <= 1e-9 * max(1.0, abs(run["dual_objective"]))
             assert run["converged"] is True
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("noise", [100.0, 1.0])
+    def test_weights_solve_the_primal_on_the_support_vectors(self, seed, noise):
+        # Few features and a large C make most rows support vectors with large
+        # duals whose weighted sum cancels to a small w; w must still solve the
+        # primal normal equations on those rows to rounding accuracy.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 2))
+        y = ["a" if v > 0 else "b" for v in X[:, 0] + noise * rng.normal(size=40)]
+        w = train_linear_svm(X, y, C=100.0).weights[0]
+        aug = np.hstack([X, np.ones((40, 1))])
+        ybin = np.where(np.array(y) == "a", 1.0, -1.0)
+        sv = ybin * (aug @ w) < 1.0
+        want = np.linalg.solve(aug[sv].T @ aug[sv] + np.eye(3) / 200.0, aug[sv].T @ ybin[sv])
+        assert np.linalg.norm(w - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_unconverged_stop_warns_and_is_recorded(self):
         # The large-C DOR case needs 4 pivots, so a cap of 1 stops it early.
         X, y = dor_features(2)

@@ -239,6 +239,25 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_corpus_name_exits_2(self, tmp_path, synthetic_jsonl, capsys):
+        # Both files take the default name "corpus", so their reports would share file names.
+        corpora = []
+        for sub in ("one", "two"):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "corpus.jsonl"
+            path.write_bytes(synthetic_jsonl.read_bytes())
+            corpora.append({"path": str(path), "format": "jsonl"})
+        config, _ = write_config(tmp_path, synthetic_jsonl, corpora=corpora)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "corpus names must be unique, got ['corpus', 'corpus']" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_repeated_task_exits_2(self, tmp_path, synthetic_jsonl, capsys):
+        config, _ = write_config(tmp_path, synthetic_jsonl, tasks=["topic", "topic"])
+        assert main(["run", "--config", str(config)]) == 2
+        assert "tasks must be unique, got ['topic', 'topic']" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -426,6 +445,24 @@ class TestCharacterize:
 
     def test_nonexistent_path_exits_2(self, tmp_path):
         assert main(["characterize", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    @pytest.mark.parametrize("format", ["jsonl", "pan-dir"])
+    def test_corpus_that_is_not_utf8_exits_1_naming_the_file(self, tmp_path, format, capsys):
+        record = json.dumps({"author_id": "u1", "text": "caf\u00e9", "gender": "f"})
+        if format == "jsonl":
+            corpus = bad = tmp_path / "c.jsonl"
+            second = record.encode().replace(b"u1", b"u\xe9")  # latin-1, not UTF-8
+            bad.write_bytes(record.encode() + b"\n" + second + b"\n")
+            where = f"{bad}:2"
+        else:
+            corpus = tmp_path
+            (tmp_path / "truth.txt").write_text("u1:::f:::65+\n", encoding="utf-8")
+            bad = tmp_path / "u1.txt"
+            bad.write_bytes("caf\u00e9".encode("latin-1"))
+            where = f"{bad}:1"
+        code = main(["characterize", "--corpus", str(corpus), "--format", format])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {where}: not UTF-8 text\n"
 
     def test_corpus_without_tasks_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"

@@ -49,6 +49,12 @@ class TestTokenize:
     def test_digits_join_words(self):
         assert tokenize("area51 3rd") == ["area51", "3rd"]
 
+    def test_combining_marks_stay_in_their_word(self):
+        # "\u0130".lower() is "i" and U+0307, which NFC leaves as two characters.
+        assert tokenize("\u0130stanbul") == ["i\u0307stanbul"]
+        assert tokenize("Cafe\u0301!") == ["cafe\u0301", "!"]
+        assert tokenize("\u20ac\u0301 :)") == ["\u20ac", "\u0301", ":", ")"]
+
 
 class TestLoadPanDir:
     @staticmethod
@@ -94,6 +100,23 @@ class TestLoadPanDir:
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path, "pan-dir")
 
+    @pytest.mark.parametrize("name", ["truth", "b"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, name):
+        self.write_pan(tmp_path, ["a:::female:::18-24", "b:::male:::65+"], {"a": "hi", "b": "yo"})
+        bad = tmp_path / f"{name}.txt"
+        bad.write_bytes(bad.read_bytes() + b"caf\xff\n")
+        line = 3 if name == "truth" else 1
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:{line}: not UTF-8 text")):
+            load_corpus(tmp_path, "pan-dir")
+
+    def test_line_ends_read_as_in_text_mode(self, tmp_path):
+        (tmp_path / "truth.txt").write_bytes(b"a:::female:::18-24\r\nb:::male:::65+\r")
+        (tmp_path / "a.txt").write_bytes(b"one\r\ntwo\rthree\n")
+        (tmp_path / "b.txt").write_bytes(b"x")
+        corpus = load_corpus(tmp_path, "pan-dir")
+        assert corpus.get("a").text == "one\ntwo\nthree\n"
+        assert corpus.get("b").labels == {"gender": "male", "age": "65+"}
+
 
 class TestLoadJsonl:
     def test_two_records_tasks_inferred(self, tmp_path):
@@ -129,6 +152,20 @@ class TestLoadJsonl:
         path = tmp_path / "out.jsonl"
         save_jsonl(corpus, path)
         assert load_corpus(path, "jsonl") == corpus
+
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        # save_jsonl writes these unescaped; only "\n", "\r" and "\r\n" end a line.
+        doc = AuthorDoc.from_text("a", "x\u2028y\u2029z\x85w\x0cv", {"t": "p"})
+        path = tmp_path / "out.jsonl"
+        save_jsonl(Corpus([doc], frozenset({"t"})), path)
+        assert load_corpus(path, "jsonl").docs == [doc]
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = json.dumps({"author_id": "u1", "text": "ok"}).encode()
+        path.write_bytes(first + b"\r\n" + first.replace(b"ok", b"caf\xe9") + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not UTF-8 text")):
+            load_corpus(path, "jsonl")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -762,9 +764,44 @@ class TestSharedFolds:
         cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=30), k=4, seed=6)
         assert len(vocab_calls) == 12
         assert len({id(m) for m in matrices}) == 24
-        # The fold subsets keep only their count matrices, not their own counts.
-        sides = [side for fold in corpus._folds[1] for side in (fold.train, fold.test)]
-        assert sides and not any("counts" in vars(side) for side in sides)
+        # Each side of the kept folds holds its count matrix, over its fold's vocabulary.
+        held = {id(m) for m in matrices}
+        sides = [
+            (vocab, side)
+            for fold in corpus._folds[1]
+            for vocab, *pair in fold.sides.values()
+            for side in pair
+        ]
+        assert len(sides) == 8
+        assert all(side.terms is vocab.terms and id(side.counts) in held for vocab, side in sides)
+
+    def test_alternating_max_terms_recounts_no_fold_side(self, tmp_path, monkeypatch):
+        recounted = []  # the documents of every corpus counted from its tokens
+        count_tokens = Corpus._count_tokens
+
+        def recording_count_tokens(corpus):
+            recounted.append(len(corpus))
+            count_tokens(corpus)
+
+        monkeypatch.setattr(Corpus, "_count_tokens", recording_count_tokens)
+        corpus = load_corpus(self.corpus_file(tmp_path))
+        for max_terms in (None, 30, None, 30, None):
+            cross_validate(corpus, "topic", RepConfig(kind="dor", max_terms=max_terms), k=5, seed=5)
+        # Only the whole corpus is counted; each fold side slices its rows.
+        assert recounted == [len(corpus)]
+
+    def test_a_corpus_and_its_kept_partition_form_no_cycle(self, tmp_path):
+        corpus = load_corpus(self.corpus_file(tmp_path))
+        cross_validate(corpus, "topic", RepConfig(kind="dor"), k=4, seed=5)
+        assert corpus._folds is not None
+        alive = weakref.ref(corpus)
+        gc.disable()
+        try:
+            # Without the cyclic collector, only reference counting can free it.
+            del corpus
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestStopwordOverride:

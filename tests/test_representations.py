@@ -12,6 +12,7 @@ from dtrkit.representations import (
     SubprofileAssignment,
     TermMatrix,
     _normalize_ssr,
+    _over_vocabulary,
     _raw_subclass_weights,
     aggregate_corpus,
     build_dor,
@@ -36,18 +37,32 @@ def vocab_of(corpus, max_terms=None):
 
 
 class TestCountMatrix:
-    def test_one_read_only_matrix_per_vocabulary_object(self):
+    def test_every_count_matrix_is_read_only(self):
         corpus = corpus_from_tokens([["a", "b", "a"], ["c"]])
         vocab = vocab_of(corpus)
-        counts = count_matrix(corpus, vocab)
-        assert count_matrix(corpus, vocab) is counts
-        for array in (counts.data, counts.indices, counts.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 7
-        # An equal vocabulary is another object: the matrix is built again.
-        again = count_matrix(corpus, vocab_of(corpus))
-        assert again is not counts
-        np.testing.assert_array_equal(again.toarray(), counts.toarray())
+        side = _over_vocabulary(corpus, vocab)
+        # A corpus's own counts, a subset's, a computed selection and the counts of
+        # a corpus over the vocabulary.
+        selected = count_matrix(corpus, vocab)
+        for counts in (corpus.counts, corpus.subset([1]).counts, selected, side.counts):
+            for array in (counts.data, counts.indices, counts.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7
+
+    def test_a_corpus_over_the_vocabulary_holds_its_count_matrix(self):
+        corpus = corpus_from_tokens([["a", "b", "a"], ["c", "d"]])
+        vocab = vocab_of(corpus, max_terms=2)
+        side = _over_vocabulary(corpus, vocab)
+        assert side.terms is vocab.terms
+        assert [d.author_id for d in side.docs] == [d.author_id for d in corpus.docs]
+        np.testing.assert_array_equal(side.counts.toarray(), count_matrix(corpus, vocab).toarray())
+        assert count_matrix(side, vocab) is side.counts
+        # Another vocabulary selects from the side's columns as from any corpus.
+        np.testing.assert_array_equal(
+            count_matrix(side, vocab_of(corpus, max_terms=1)).toarray(), [[2.0], [0.0]]
+        )
+        # A document corpus gets a new matrix on each call.
+        assert count_matrix(corpus, vocab) is not count_matrix(corpus, vocab)
 
     def test_builders_leave_the_shared_matrix_unchanged(self):
         corpus = corpus_from_tokens([["a", "b", "a"], ["c", "c", "b"]], labels=["x", "y"])
