@@ -19,8 +19,8 @@ corpus = make_synthetic_corpus(
 vocab = build_vocabulary(corpus)
 print(f"training on {len(corpus)} documents, {len(vocab)} terms")
 
-cfg = EmbeddingConfig(dim=32, window=3, negatives=5, epochs=6, seed=7)
-tm = train_skipgram(corpus, vocab, cfg)
+cfg = EmbeddingConfig(dim=32, window=3, negatives=5, epochs=6)
+tm = train_skipgram(corpus, vocab, cfg, seed=7)
 
 objective = tm.meta["objective"]
 print("mean pair loss per epoch:", [round(v, 4) for v in objective])

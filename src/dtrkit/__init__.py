@@ -7,128 +7,17 @@ leakage-safe stratified cross-validation, paired significance tests, and
 collection-characteristic analysis.
 """
 
-from .classifier import (
-    ConvergenceWarning,
-    SvmModel,
-    build_bow_matrix,
-    compute_idf,
-    decision_function,
-    load_svm_model,
-    predict,
-    save_svm_model,
-    train_linear_svm,
-)
-from .corpus import (
-    AuthorDoc,
-    Corpus,
-    Vocabulary,
-    build_vocabulary,
-    load_corpus,
-    save_jsonl,
-    tokenize,
-)
-from .embeddings import (
-    EmbeddingConfig,
-    load_embeddings,
-    nearest_neighbors,
-    project_embeddings,
-    read_word2vec,
-    save_embeddings,
-    train_skipgram,
-)
-from .evaluation import (
-    ClfConfig,
-    CollectionStats,
-    EvalReport,
-    FoldResult,
-    RepConfig,
-    WilcoxonResult,
-    accuracy,
-    attach_significance,
-    collection_stats,
-    correlation_map,
-    correlation_map_to_csv,
-    cross_validate,
-    information_gain,
-    pearson,
-    report_to_json,
-    reports_to_accuracy_csv,
-    stratified_kfold,
-    top_terms_tfidf,
-    wilcoxon_signed_rank,
-)
-from .representations import (
-    SubprofileAssignment,
-    TermMatrix,
-    aggregate_corpus,
-    build_dor,
-    build_ssr,
-    build_tcor,
-    cluster_subprofiles,
-    count_matrix,
-    load_term_matrix,
-    save_term_matrix,
-)
-from .stopwords import ENGLISH_STOPWORDS, default_stopwords
-from .synthetic import make_synthetic_corpus
+from . import classifier, corpus, embeddings, evaluation, representations, stopwords, synthetic
+from .classifier import *  # noqa: F401,F403
+from .corpus import *  # noqa: F401,F403
+from .embeddings import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .representations import *  # noqa: F401,F403
+from .stopwords import *  # noqa: F401,F403
+from .synthetic import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorDoc",
-    "Corpus",
-    "Vocabulary",
-    "tokenize",
-    "load_corpus",
-    "save_jsonl",
-    "build_vocabulary",
-    "TermMatrix",
-    "SubprofileAssignment",
-    "count_matrix",
-    "build_dor",
-    "build_tcor",
-    "build_ssr",
-    "cluster_subprofiles",
-    "aggregate_corpus",
-    "save_term_matrix",
-    "load_term_matrix",
-    "EmbeddingConfig",
-    "train_skipgram",
-    "save_embeddings",
-    "read_word2vec",
-    "project_embeddings",
-    "load_embeddings",
-    "nearest_neighbors",
-    "SvmModel",
-    "ConvergenceWarning",
-    "compute_idf",
-    "build_bow_matrix",
-    "train_linear_svm",
-    "decision_function",
-    "predict",
-    "save_svm_model",
-    "load_svm_model",
-    "RepConfig",
-    "ClfConfig",
-    "FoldResult",
-    "EvalReport",
-    "WilcoxonResult",
-    "CollectionStats",
-    "stratified_kfold",
-    "cross_validate",
-    "attach_significance",
-    "accuracy",
-    "wilcoxon_signed_rank",
-    "collection_stats",
-    "pearson",
-    "correlation_map",
-    "correlation_map_to_csv",
-    "top_terms_tfidf",
-    "information_gain",
-    "report_to_json",
-    "reports_to_accuracy_csv",
-    "ENGLISH_STOPWORDS",
-    "default_stopwords",
-    "make_synthetic_corpus",
-    "__version__",
-]
+_MODULES = (corpus, representations, embeddings, classifier, evaluation, stopwords, synthetic)
+
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -15,7 +15,7 @@ from .evaluation import (
     CHARACTERISTICS,
     ClfConfig,
     RepConfig,
-    _csv_field,
+    _csv_table,
     attach_significance,
     collection_stats,
     cross_validate,
@@ -30,6 +30,19 @@ __all__ = ["main", "ConfigError"]
 
 class ConfigError(Exception):
     """Invalid configuration or command usage (exit code 2)."""
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` for an integer flag whose value is at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--corpus", required=True)
     top.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     top.add_argument("--task", required=True)
-    top.add_argument("--count", type=int, default=3, help="authors per category")
-    top.add_argument("--words", type=int, default=10, help="tf-idf words per author")
-    top.add_argument("--max-terms", type=int, default=10_000)
+    top.add_argument("--count", type=_int_at_least(0), default=3, help="authors per category")
+    top.add_argument("--words", type=_int_at_least(0), default=10, help="tf-idf words per author")
+    top.add_argument("--max-terms", type=_int_at_least(1), default=10_000)
     top.add_argument("--out", help="write the report CSV here")
     top.set_defaults(func=_cmd_top_terms)
 
@@ -77,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--epochs", type=int, default=5)
     emb.add_argument("--lr", type=float, default=0.025)
     emb.add_argument("--min-count", type=int, default=1)
-    emb.add_argument("--max-terms", type=int, default=10_000)
+    emb.add_argument("--max-terms", type=_int_at_least(1), default=10_000)
     emb.set_defaults(func=_cmd_embed_train)
 
     nn = sub.add_parser("embed-neighbors", help="nearest neighbors in a vectors file")
     nn.add_argument("--vectors", required=True, help="word2vec text file")
     nn.add_argument("--term", required=True)
-    nn.add_argument("-k", type=int, default=10)
+    nn.add_argument("-k", type=_int_at_least(1), default=10)
     nn.set_defaults(func=_cmd_embed_neighbors)
 
     return parser
@@ -313,17 +326,14 @@ def _cmd_characterize(args) -> int:
     tasks = [args.task] if args.task else sorted(corpus.tasks)
     if not tasks:
         raise ConfigError("corpus has no tasks to characterize")
-    rows = []
+    rows = [["task", *CHARACTERISTICS]]
     for task in tasks:
-        stats = collection_stats(corpus, task)
-        rows.append((task, stats))
-        printable = ", ".join(f"{k}={v:.6f}" for k, v in stats.as_dict().items())
+        stats = collection_stats(corpus, task).as_dict()
+        rows.append([task, *stats.values()])
+        printable = ", ".join(f"{k}={v:.6f}" for k, v in stats.items())
         print(f"{task}: {printable}")
     if args.out:
-        lines = ["task," + ",".join(CHARACTERISTICS)]
-        for task, stats in rows:
-            lines.append(_csv_field(task) + "," + ",".join(repr(v) for v in stats.as_dict().values()))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(_csv_table(rows), encoding="utf-8")
     return 0
 
 
@@ -333,12 +343,6 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_top_terms(args) -> int:
-    if args.count < 0:
-        raise ConfigError("--count must be non-negative")
-    if args.words < 0:
-        raise ConfigError("--words must be non-negative")
-    if args.max_terms < 1:
-        raise ConfigError("--max-terms must be a positive integer")
     corpus = _require_corpus(args)
     if args.task not in corpus.tasks:
         raise ConfigError(
@@ -367,15 +371,15 @@ def _cmd_top_terms(args) -> int:
         picks += [(cat, author) for author in ranked[: args.count]]
     tops = evaluation.top_terms_tfidf(corpus, [author for _, author in picks], args.words)
 
-    csv_lines = ["category,author,information_gain,rank,term,tfidf"]
+    rows = [["category", "author", "information_gain", "rank", "term", "tfidf"]]
     for (cat, author), words in zip(picks, tops):
         joined = ", ".join(term for term, _ in words)
         print(f"{cat} | {author} (ig={by_author[author]:.4f}): {joined}")
-        lead = f"{_csv_field(cat)},{_csv_field(author)},{by_author[author]!r}"
+        gain = repr(by_author[author])  # formatted once for all of the author's rows
         for rank, (term, score) in enumerate(words, start=1):
-            csv_lines.append(f"{lead},{rank},{_csv_field(term)},{score!r}")
+            rows.append([cat, author, gain, rank, term, score])
     if args.out:
-        Path(args.out).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(_csv_table(rows), encoding="utf-8")
     return 0
 
 
@@ -393,15 +397,12 @@ def _cmd_embed_train(args) -> int:
             epochs=args.epochs,
             initial_lr=args.lr,
             min_count=args.min_count,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise ConfigError(f"bad embedding config: {exc}") from exc
-    if args.max_terms < 1:
-        raise ConfigError("--max-terms must be a positive integer")
     corpus = _require_corpus(args)
     vocab = build_vocabulary(corpus, args.max_terms)
-    tm = embeddings.train_skipgram(corpus, vocab, cfg)
+    tm = embeddings.train_skipgram(corpus, vocab, cfg, seed=args.seed)
     embeddings.save_embeddings(tm, args.out)
     objective = tm.meta["objective"]
     print(

@@ -6,6 +6,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
@@ -131,6 +132,7 @@ class Corpus:
         self.tasks = frozenset(self.tasks)
         self._folds: tuple | None = None  # evaluation.cross_validate's latest partition
         self._rows: dict[str, int] = {}
+        tasks = sorted(self.tasks)
         for row, doc in enumerate(self.docs):
             if doc.author_id.splitlines() != [doc.author_id]:
                 # Text containers write one id per line; this also rejects "".
@@ -143,7 +145,7 @@ class Corpus:
                 raise ValueError(
                     f"author {doc.author_id!r} is missing labels for tasks {sorted(missing)}"
                 )
-            for task in sorted(self.tasks):
+            for task in tasks:
                 label = doc.labels[task]
                 # Labels name SSR features ("category/cluster"), one per line.
                 if label.splitlines() != [label]:
@@ -317,16 +319,30 @@ def _load_jsonl(path: Path) -> Corpus:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path`` with its line ends made ``"\\n"``, as a
-    file opened in text mode reads it.  A byte that is not UTF-8 raises
-    ``ValueError`` naming the file and the line it is on."""
-    data = Path(path).read_bytes()
+    """The UTF-8 text of ``path`` with its line ends made ``"\\n"``."""
+    with open(path, encoding="utf-8") as fh, _naming_bad_utf8(path):
+        return fh.read()
+
+
+@contextmanager
+def _naming_bad_utf8(path):
+    """Turn a ``UnicodeDecodeError`` met while reading ``path`` into a
+    ``ValueError`` that names the file and the line of the first byte that
+    is not UTF-8, or the file alone if it cannot be read again (a pipe)."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        yield
+    except UnicodeDecodeError:
+        where = str(path)
+        if Path(path).is_file():
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # The line ends before the bad byte, as text mode reads them.
+                before = data[: exc.start].replace(b"\r\n", b"\n")
+                line = before.count(b"\n") + before.count(b"\r") + 1
+                where += f":{line}"
+        raise ValueError(f"{where}: not UTF-8 text") from None
 
 
 def _name_value(value, key: str, where: str) -> str:

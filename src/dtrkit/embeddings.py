@@ -4,13 +4,13 @@ word-vector interchange format."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, _naming_bad_utf8
 from .representations import TermMatrix, _finite_real, _fmt_row, _integer, _parse_row, _positive_int
 
 __all__ = [
@@ -44,7 +44,6 @@ class EmbeddingConfig:
     initial_lr: float = 0.025
     min_count: int = 1
     subsample: float = 0.0  # frequency threshold for subsampling; 0 disables
-    seed: int | None = None  # None: unset, which train_skipgram reads as 0
 
     def __post_init__(self) -> None:
         for name in ("dim", "window", "epochs", "min_count"):
@@ -53,8 +52,6 @@ class EmbeddingConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not (_integer(self.negatives) and self.negatives >= 0):
             raise ValueError(f"negatives must be a non-negative integer, got {self.negatives!r}")
-        if not (self.seed is None or _integer(self.seed)):
-            raise ValueError(f"seed must be an integer or unset, got {self.seed!r}")
         if not (_finite_real(self.initial_lr) and self.initial_lr > 0):
             raise ValueError(f"initial_lr must be a finite positive number, got {self.initial_lr!r}")
         if not (_finite_real(self.subsample) and self.subsample >= 0):
@@ -149,7 +146,9 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     return -float(loss)
 
 
-def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | None = None) -> TermMatrix:
+def train_skipgram(
+    corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | None = None, seed: int = 0
+) -> TermMatrix:
     """Train skip-gram vectors with negative sampling over ``corpus``.
 
     Minibatched SGD (Ji et al. 2016, arXiv:1604.04661): every (center,
@@ -160,17 +159,15 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
     the same parameters and then applies them.  The learning rate is one
     per batch, decayed linearly over the tokens to a floor of
     ``initial_lr * LR_FLOOR_RATIO``.  Terms rarer than ``min_count`` keep an
-    all-zero row.  Deterministic for a fixed seed; the per-epoch mean pair
-    loss lands in ``meta["objective"]``.  An unset seed trains with seed 0.
+    all-zero row.  Deterministic for a fixed seed, which is recorded in
+    ``meta["seed"]``; the per-epoch mean pair loss lands in ``meta["objective"]``.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     if not corpus.docs:
         raise ValueError("corpus is empty")
     cfg = cfg or EmbeddingConfig()
-    if cfg.seed is None:
-        cfg = replace(cfg, seed=0)
-    rng = np.random.default_rng(cfg.seed % (2**63))
+    rng = np.random.default_rng(seed % (2**63))
 
     freqs = np.array([vocab.freq[t] for t in vocab.terms], dtype=np.float64)
     trainable = freqs >= cfg.min_count
@@ -221,7 +218,7 @@ def train_skipgram(corpus: Corpus, vocab: Vocabulary, cfg: EmbeddingConfig | Non
         "EMBEDDING",
         list(vocab.terms),
         w_in,
-        meta={"objective": objective, "config": asdict(cfg)},
+        meta={"objective": objective, "config": asdict(cfg), "seed": seed},
     )
 
 
@@ -247,8 +244,8 @@ def save_embeddings(tm: TermMatrix, path) -> None:
 
 def read_word2vec(path) -> tuple[list[str], np.ndarray]:
     """Parse a textual word2vec file into (words, matrix).  A malformed
-    line, or a value that is not a finite number, raises ``ValueError``
-    naming the file and the line.
+    line, a value that is not a finite number, or a byte that is not UTF-8
+    raises ``ValueError`` naming the file and the line.
 
     The file is read once, in chunks of ``_READ_CHUNK`` lines.  Each line's
     word is kept, and the rest of the line goes to numpy's C reader
@@ -260,7 +257,7 @@ def read_word2vec(path) -> tuple[list[str], np.ndarray]:
     holds one chunk of lines, plus one more copy of the matrix while the
     parsed chunks are joined.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _naming_bad_utf8(path):
         header = fh.readline().split()
         try:
             count, dim = map(int, header)

@@ -52,11 +52,9 @@ CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 
 @dataclass
 class RepConfig:
-    """Representation to build per fold, with its knobs.
-
-    ``embedding`` configures ``w2v-train``.  Its ``seed`` must be left
-    unset: :func:`cross_validate` trains each fold with that fold's seed.
-    """
+    """Representation to build per fold, with its knobs.  ``embedding``
+    configures ``w2v-train``, which :func:`cross_validate` trains with each
+    fold's seed."""
 
     kind: str = "bow"
     max_terms: int = 10_000
@@ -79,10 +77,6 @@ class RepConfig:
             raise ValueError(f"k_per_class must be a positive integer, got {self.k_per_class!r}")
         _check_one_of("weighting", self.weighting, representations.AGG_WEIGHTINGS)
         _check_one_of("tcor_idf", self.tcor_idf, representations.TCOR_IDF_MODES)
-        if self.embedding is not None and self.embedding.seed is not None:
-            raise ValueError(
-                "embedding seed cannot be set; each fold is trained with its own seed"
-            )
 
     @property
     def id(self) -> str:
@@ -183,12 +177,19 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field (RFC 4180): quoted, with each quote
+def _csv_table(rows) -> str:
+    """``rows`` as CSV text (RFC 4180).  A number is written as its ``repr``,
+    which reads back as the same float.  A string is quoted, with each quote
     doubled, when it holds a comma, a quote or a line break."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+
+    def field(value) -> str:
+        if not isinstance(value, str):
+            return repr(value)
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    return "".join(",".join(map(field, row)) + "\n" for row in rows)
 
 
 def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
@@ -196,12 +197,10 @@ def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
     if not reports:
         raise ValueError("no reports given")
     k = next(iter(reports.values())).k
-    lines = ["representation," + ",".join(f"fold{j}" for j in range(k)) + ",mean"]
+    rows = [["representation", *(f"fold{j}" for j in range(k)), "mean"]]
     for rep_id in sorted(reports):
-        rep = reports[rep_id]
-        accs = ",".join(repr(a) for a in rep.fold_accuracies())
-        lines.append(f"{_csv_field(rep_id)},{accs},{rep.mean_accuracy!r}")
-    return "\n".join(lines) + "\n"
+        rows.append([rep_id, *reports[rep_id].fold_accuracies(), reports[rep_id].mean_accuracy])
+    return _csv_table(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +236,7 @@ def _build_term_matrix(
         )
         return representations.build_ssr(train, vocab, assignment)
     if rep.kind == "w2v-train":
-        cfg = rep.embedding or embeddings.EmbeddingConfig()
-        cfg = dataclasses.replace(cfg, seed=fold_seed)
-        return embeddings.train_skipgram(train, vocab, cfg)
+        return embeddings.train_skipgram(train, vocab, rep.embedding, seed=fold_seed)
     if rep.kind == "w2v-pretrained":
         return embeddings.project_embeddings(*vectors, vocab, source=rep.pretrained_path)
     raise ValueError(f"unknown representation kind {rep.kind!r}")
@@ -311,8 +308,7 @@ def cross_validate(
     per ``max_terms`` and both sides over it, and further representations run over
     the same ``(task, k, seed)`` reuse them.  All randomness flows from ``seed``:
     each fold draws its own seed from it, and SSR clustering and skip-gram training
-    use that fold's seed (``rep.embedding`` may not set one).  A pretrained vector
-    file is read once, before the first fold.
+    use that fold's seed.  A pretrained vector file is read once, before the first fold.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
@@ -573,11 +569,10 @@ def correlation_map(
 
 
 def correlation_map_to_csv(table: dict[str, dict[str, float]]) -> str:
-    lines = ["representation," + ",".join(CHARACTERISTICS)]
+    rows = [["representation", *CHARACTERISTICS]]
     for rep_id in sorted(table):
-        row = table[rep_id]
-        lines.append(_csv_field(rep_id) + "," + ",".join(repr(row[c]) for c in CHARACTERISTICS))
-    return "\n".join(lines) + "\n"
+        rows.append([rep_id, *(table[rep_id][c] for c in CHARACTERISTICS)])
+    return _csv_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,8 @@ def test_skipgram_contextual_similarity():
 
         wins = 0
         for seed in range(5):
-            cfg = EmbeddingConfig(dim=16, window=2, epochs=10, seed=seed)
-            tm = train_skipgram(corpus, vocab, cfg)
+            cfg = EmbeddingConfig(dim=16, window=2, epochs=10)
+            tm = train_skipgram(corpus, vocab, cfg, seed=seed)
             assert np.isfinite(tm.matrix).all()
             objective = tm.meta["objective"]
             assert objective[-1] <= objective[0]

@@ -655,6 +655,20 @@ class TestEmbedCommands:
     def test_missing_vectors_file_exits_2(self, tmp_path):
         assert main(["embed-neighbors", "--vectors", str(tmp_path / "x.txt"), "--term", "a"]) == 2
 
+    def test_bad_k_exits_2_before_reading_the_vectors(self, tmp_path, capsys):
+        # The vectors file is malformed, so any reading would fail with exit 1.
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("not a header\n", encoding="utf-8")
+        code = main(["embed-neighbors", "--vectors", str(vectors), "--term", "foo", "-k", "0"])
+        assert code == 2
+        assert "argument -k:" in capsys.readouterr().err
+
+    def test_vectors_that_are_not_utf8_exit_1_naming_the_line(self, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_bytes(b"2 2\nfoo 1 2\nb\xffr 3 4\n")
+        assert main(["embed-neighbors", "--vectors", str(vectors), "--term", "foo"]) == 1
+        assert capsys.readouterr().err == f"error: {vectors}:3: not UTF-8 text\n"
+
     def test_neighbors_of_a_word_listed_twice_use_its_first_row(self, tmp_path, capsys):
         vectors = tmp_path / "v.txt"
         vectors.write_text(

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestTrainSkipgram:
     def test_output_shape(self):
         corpus = corpus_from_tokens([["a", "b", "c", "a", "b"]])
         vocab = build_vocabulary(corpus)
-        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=7, epochs=1, seed=0))
+        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=7, epochs=1), seed=0)
         assert tm.rep_kind == "EMBEDDING"
         assert tm.matrix.shape == (len(vocab), 7)
 
@@ -49,8 +50,8 @@ class TestTrainSkipgram:
         vocab = build_vocabulary(corpus)
         wins = 0
         for seed in range(5):
-            cfg = EmbeddingConfig(dim=16, window=2, epochs=10, seed=seed)
-            tm = train_skipgram(corpus, vocab, cfg)
+            cfg = EmbeddingConfig(dim=16, window=2, epochs=10)
+            tm = train_skipgram(corpus, vocab, cfg, seed=seed)
             x, y, z = (tm.row(t) for t in ("x", "y", "z"))
             if cosine(x, y) > cosine(x, z):
                 wins += 1
@@ -59,7 +60,7 @@ class TestTrainSkipgram:
     def test_objective_improves(self):
         corpus = identical_context_corpus(repeats=20)
         vocab = build_vocabulary(corpus)
-        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=12, epochs=5, seed=1))
+        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=12, epochs=5), seed=1)
         objective = tm.meta["objective"]
         assert len(objective) == 5
         assert objective[-1] <= objective[0]
@@ -67,43 +68,43 @@ class TestTrainSkipgram:
     def test_reproducible_bit_for_bit(self):
         corpus = identical_context_corpus(repeats=5)
         vocab = build_vocabulary(corpus)
-        cfg = EmbeddingConfig(dim=9, epochs=2, seed=77)
-        first = train_skipgram(corpus, vocab, cfg)
-        second = train_skipgram(corpus, vocab, cfg)
+        cfg = EmbeddingConfig(dim=9, epochs=2)
+        first = train_skipgram(corpus, vocab, cfg, seed=77)
+        second = train_skipgram(corpus, vocab, cfg, seed=77)
         np.testing.assert_array_equal(first.matrix, second.matrix)
 
     def test_unset_seed_trains_as_seed_zero(self):
         corpus = identical_context_corpus(repeats=5)
         vocab = build_vocabulary(corpus)
-        unset = train_skipgram(corpus, vocab, EmbeddingConfig(dim=9, epochs=2))
-        zero = train_skipgram(corpus, vocab, EmbeddingConfig(dim=9, epochs=2, seed=0))
+        cfg = EmbeddingConfig(dim=9, epochs=2)
+        unset = train_skipgram(corpus, vocab, cfg)
+        zero = train_skipgram(corpus, vocab, cfg, seed=0)
         np.testing.assert_array_equal(unset.matrix, zero.matrix)
         assert unset.meta == zero.meta
-        assert train_skipgram(corpus, vocab).meta == train_skipgram(
-            corpus, vocab, EmbeddingConfig(seed=0)
-        ).meta
+        assert zero.meta["seed"] == 0
+        assert train_skipgram(corpus, vocab, cfg, seed=5).meta["seed"] == 5
 
     def test_no_nan_or_inf(self):
         corpus = identical_context_corpus(repeats=10)
         vocab = build_vocabulary(corpus)
-        cfg = EmbeddingConfig(dim=8, epochs=3, initial_lr=0.5, seed=2)
-        tm = train_skipgram(corpus, vocab, cfg)
+        cfg = EmbeddingConfig(dim=8, epochs=3, initial_lr=0.5)
+        tm = train_skipgram(corpus, vocab, cfg, seed=2)
         assert np.isfinite(tm.matrix).all()
 
     def test_min_count_zeroes_rare_terms(self):
         corpus = corpus_from_tokens([["a", "a", "a", "b", "a", "rare"]])
         vocab = build_vocabulary(corpus)
-        cfg = EmbeddingConfig(dim=4, epochs=1, min_count=2, seed=0)
-        tm = train_skipgram(corpus, vocab, cfg)
+        cfg = EmbeddingConfig(dim=4, epochs=1, min_count=2)
+        tm = train_skipgram(corpus, vocab, cfg, seed=0)
         np.testing.assert_array_equal(tm.row("rare"), 0.0)
 
     @pytest.mark.parametrize("field, value", [("negatives", 0), ("subsample", 1e-3)])
     def test_trains_with_setting(self, field, value):
         corpus = identical_context_corpus(repeats=10)
         vocab = build_vocabulary(corpus)
-        cfg = EmbeddingConfig(dim=8, epochs=3, seed=4, **{field: value})
-        first = train_skipgram(corpus, vocab, cfg)
-        second = train_skipgram(corpus, vocab, cfg)
+        cfg = EmbeddingConfig(dim=8, epochs=3, **{field: value})
+        first = train_skipgram(corpus, vocab, cfg, seed=4)
+        second = train_skipgram(corpus, vocab, cfg, seed=4)
         assert np.isfinite(first.matrix).all()
         assert first.matrix.any()
         np.testing.assert_array_equal(first.matrix, second.matrix)
@@ -133,7 +134,6 @@ class TestTrainSkipgram:
             ("negatives", 2.0),
             ("epochs", "3"),
             ("min_count", 2.0),
-            ("seed", 1.5),
             ("initial_lr", float("nan")),
             ("initial_lr", float("inf")),
             ("initial_lr", True),
@@ -328,6 +328,29 @@ class TestWord2vecFormat:
         writer.join(timeout=10)
         assert words == [f"w{i}" for i in range(2500)]
         np.testing.assert_array_equal(matrix, rows)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, end):
+        path = tmp_path / "vec.txt"
+        lines = ["3 2", "foo 1 2", "bar 3 4", "caf\xe9 5 6"]
+        path.write_bytes(end.join(lines).encode("latin-1") + end.encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
+            read_word2vec(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "vec.fifo"
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb") as fh:
+                fh.write(b"1 2\nb\xffr 1 2\n")
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            read_word2vec(path)
+        writer.join(timeout=10)
 
     def test_duplicate_words_keep_first(self, tmp_path):
         path = tmp_path / "vec.txt"

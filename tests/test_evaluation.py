@@ -547,7 +547,7 @@ class TestCrossValidate:
         from dtrkit.embeddings import EmbeddingConfig, save_embeddings, train_skipgram
 
         vocab = build_vocabulary(corpus)
-        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=6, epochs=2, seed=0))
+        tm = train_skipgram(corpus, vocab, EmbeddingConfig(dim=6, epochs=2), seed=0)
         path = tmp_path / "vec.txt"
         save_embeddings(tm, path)
         rep = RepConfig(kind="w2v-pretrained", pretrained_path=str(path))
@@ -841,15 +841,6 @@ class TestRepConfig:
     def test_pretrained_needs_path(self):
         with pytest.raises(ValueError, match="pretrained_path"):
             RepConfig(kind="w2v-pretrained")
-
-    def test_embedding_seed_rejected(self):
-        from dtrkit.embeddings import EmbeddingConfig
-
-        # cross_validate trains each fold with its own seed; a set one would be ignored.
-        for seed in (0, 3):
-            with pytest.raises(ValueError, match="seed"):
-                RepConfig(kind="w2v-train", embedding=EmbeddingConfig(dim=8, seed=seed))
-        assert RepConfig(kind="w2v-train", embedding=EmbeddingConfig(dim=8)).embedding.seed is None
 
     def test_id_defaults_to_kind(self):
         assert RepConfig(kind="dor").id == "dor"
