@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import embeddings, evaluation, representations
-from .corpus import CORPUS_FORMATS, build_vocabulary, load_corpus
+from .corpus import CORPUS_FORMATS, _read_text, build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
     ClfConfig,
@@ -23,7 +23,7 @@ from .evaluation import (
     report_to_json,
     reports_to_accuracy_csv,
 )
-from .representations import _finite_real, _integer
+from .representations import _finite_real, _first_repeat, _integer
 
 __all__ = ["main", "ConfigError"]
 
@@ -134,9 +134,11 @@ def _load_run_config(args) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
+            cfg = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # not UTF-8: "<path>:<line>: not UTF-8 text"
+            raise ConfigError(str(exc)) from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
 
@@ -260,6 +262,11 @@ def _cmd_run(args) -> int:
     unknown = [b for b in baselines if b not in rep_ids]
     if unknown:
         raise ConfigError(f"significance baselines {unknown} are not configured representations")
+    names = [*(f"{rep_id}.json" for rep_id in rep_ids), "folds.csv"]
+    files = [f"{c['name']}_{t}_{n}" for c in cfg["corpora"] for t in cfg["tasks"] for n in names]
+    repeat = _first_repeat(files)  # distinct parts can join into one name: a + b_c, a_b + c
+    if repeat is not None:
+        raise ConfigError(f"two runs would write the same report file {files[repeat]!r}")
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -348,11 +355,9 @@ def _cmd_top_terms(args) -> int:
         raise ConfigError(
             f"unknown task {args.task!r}; corpus tasks: {sorted(corpus.tasks)}"
         )
-    if args.count == 0:
-        return 0
 
     vocab = build_vocabulary(corpus, args.max_terms)
-    docs = representations._over_vocabulary(corpus, vocab)  # one count matrix for both
+    docs = corpus._over_vocabulary(range(len(corpus)), vocab)  # one count matrix for both
     tm = representations.build_dor(docs, vocab)
     doc_vectors = representations.aggregate_corpus(docs, tm, vocab)
     labels = corpus.labels(args.task)

@@ -225,6 +225,22 @@ class Corpus:
         child.counts = _read_only(rows[:, keep])
         return child
 
+    def _over_vocabulary(self, indices, vocab: "Vocabulary") -> "Corpus":
+        """The documents at ``indices`` over the columns ``vocab.terms``, which are not
+        sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf."""
+        indices = list(indices)
+        child = Corpus([self.docs[i] for i in indices], self.tasks)
+        ids = np.array([vocab.index.get(t, -1) for t in self.terms], dtype=np.int64)
+        present = np.flatnonzero(ids >= 0)
+        # Column j goes to vocabulary column ids[j], each count times 1.0.  The
+        # product leaves rows unsorted; the trip through CSC sorts them by counting.
+        select = sp.csr_matrix(
+            (np.ones(present.size), (present, ids[present])), shape=(len(self.terms), len(vocab))
+        )
+        child.terms = vocab.terms
+        child.counts = _read_only((self.counts[indices] @ select).tocsc().tocsr())
+        return child
+
 
 def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """``matrix``, its arrays flagged read-only: every count matrix is shared."""

@@ -265,11 +265,9 @@ class _Fold:
 
     def over_vocabulary(self, corpus: Corpus, max_terms: int | None) -> tuple:
         if max_terms not in self.sides:
-            train, test = corpus.subset(self.train_idx), corpus.subset(self.test_idx)
-            vocab = build_vocabulary(train, max_terms)
-            for side in (train, test):  # temporaries, so restricted in place
-                side.terms, side.counts = vocab.terms, representations.count_matrix(side, vocab)
-            self.sides[max_terms] = (vocab, train, test)
+            vocab = build_vocabulary(corpus.subset(self.train_idx), max_terms)
+            sides = (corpus._over_vocabulary(idx, vocab) for idx in (self.train_idx, self.test_idx))
+            self.sides[max_terms] = (vocab, *sides)
         return self.sides[max_terms]
 
 
@@ -416,9 +414,8 @@ def _normal_two_sided_p(ranks: np.ndarray, w: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
     _, tie_sizes = np.unique(ranks, return_counts=True)
     t = tie_sizes.astype(np.float64)
+    # Ties take at most (n^3 - n) / 48 off, so var >= 3n(n + 1)^2 / 48 > 0.
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float((t**3 - t).sum()) / 48.0
-    if var <= 0:
-        return 1.0
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction toward the mean
     return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _read_only, _read_text
+from .corpus import Corpus, Vocabulary, _read_text
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -113,30 +113,11 @@ class SubprofileAssignment:
 
 def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
     """Read-only sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
-
-    The columns of ``corpus.counts`` whose terms are in ``vocab`` (which may
-    come from any corpus), relabelled with vocabulary ids: a new matrix on
-    each call, unless the corpus's columns already are ``vocab.terms`` (a
-    fold side), whose own ``counts`` every builder of the fold then reads.
-    """
+    A fold side, whose columns are ``vocab.terms``, gives its own ``counts``, which every
+    builder of the fold reads; any other corpus gets a new matrix on each call."""
     if corpus.terms is vocab.terms:
         return corpus.counts
-    ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
-    present = np.flatnonzero(ids >= 0)
-    # Corpus column j goes to vocabulary column ids[j], each count times 1.0.
-    # The product leaves rows unsorted; the trip through CSC sorts them by counting.
-    select = sp.csr_matrix(
-        (np.ones(present.size), (present, ids[present])), shape=(len(corpus.terms), len(vocab))
-    )
-    return _read_only((corpus.counts @ select).tocsc().tocsr())
-
-
-def _over_vocabulary(corpus: Corpus, vocab: Vocabulary) -> Corpus:
-    """A new corpus of ``corpus``'s documents over the columns ``vocab.terms``, which
-    are not sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf."""
-    side = Corpus(list(corpus.docs), corpus.tasks)
-    side.terms, side.counts = vocab.terms, count_matrix(corpus, vocab)
-    return side
+    return corpus._over_vocabulary(range(len(corpus)), vocab).counts
 
 
 def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .corpus import _read_text
+
 __all__ = ["ENGLISH_STOPWORDS", "default_stopwords", "STOPWORDS_ENV_VAR"]
 
 STOPWORDS_ENV_VAR = "DTRKIT_STOPWORDS"
@@ -48,6 +50,5 @@ def default_stopwords() -> frozenset[str]:
     path = os.environ.get(STOPWORDS_ENV_VAR)
     if not path:
         return ENGLISH_STOPWORDS
-    with open(path, encoding="utf-8") as fh:
-        words = {line.strip().lower() for line in fh if line.strip()}
-    return frozenset(words)
+    lines = _read_text(path).split("\n")
+    return frozenset(line.strip().lower() for line in lines if line.strip())

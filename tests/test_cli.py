@@ -258,6 +258,22 @@ class TestRun:
         assert "tasks must be unique, got ['topic', 'topic']" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
+    def test_report_names_that_join_alike_exit_2_before_loading(self, tmp_path, capsys):
+        # Corpus a with task b_c and corpus a_b with task c both name a_b_c_*.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n", encoding="utf-8")  # any loading would exit 1
+        corpora = [{"name": name, "path": str(bad), "format": "jsonl"} for name in ("a", "a_b")]
+        config, _ = write_config(tmp_path, bad, corpora=corpora, tasks=["b_c", "c"])
+        assert main(["run", "--config", str(config)]) == 2
+        assert "the same report file 'a_b_c_bow.json'" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_config_that_is_not_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n  "seed": 1,\n  "tasks": ["\xff"]\n}\n')
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:3: not UTF-8 text\n"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -592,6 +608,15 @@ class TestTopTerms:
         )
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    def test_count_zero_writes_the_header_row(self, tmp_path, synthetic_jsonl):
+        out = tmp_path / "top.csv"
+        code = main(
+            ["top-terms", "--corpus", str(synthetic_jsonl), "--task", "topic", "--count", "0",
+             "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == "category,author,information_gain,rank,term,tfidf\n"
 
     def test_unknown_task_exits_2(self, synthetic_jsonl):
         code = main(

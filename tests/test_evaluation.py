@@ -816,6 +816,15 @@ class TestStopwordOverride:
         stats = collection_stats(corpus, "cat")
         assert stats.ld == 0.5
 
+    def test_env_var_file_that_is_not_utf8_is_named_with_its_line(self, tmp_path, monkeypatch):
+        from dtrkit.stopwords import STOPWORDS_ENV_VAR, default_stopwords
+
+        custom = tmp_path / "stop.txt"
+        custom.write_bytes(b"foo\nb\xffr\n")
+        monkeypatch.setenv(STOPWORDS_ENV_VAR, str(custom))
+        with pytest.raises(ValueError, match=re.escape(f"{custom}:2: not UTF-8 text")):
+            default_stopwords()
+
     def test_default_without_env(self, monkeypatch):
         from dtrkit.stopwords import ENGLISH_STOPWORDS, STOPWORDS_ENV_VAR, default_stopwords
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import dtrkit
 from dtrkit import classifier, corpus, embeddings, evaluation, representations, stopwords, synthetic
 
@@ -19,3 +24,17 @@ def test_each_name_is_its_modules_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(dtrkit, name) is getattr(module, name), name
+
+
+def test_import_loads_no_dense_scipy_module():
+    # scipy.linalg and scipy.stats cost megabytes of resident memory, and no
+    # command needs them: importing the package and its CLI must not load them.
+    code = (
+        "import sys, dtrkit, dtrkit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.stats'))))"
+    )
+    src = str(Path(dtrkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -12,7 +12,6 @@ from dtrkit.representations import (
     SubprofileAssignment,
     TermMatrix,
     _normalize_ssr,
-    _over_vocabulary,
     _raw_subclass_weights,
     aggregate_corpus,
     build_dor,
@@ -40,7 +39,7 @@ class TestCountMatrix:
     def test_every_count_matrix_is_read_only(self):
         corpus = corpus_from_tokens([["a", "b", "a"], ["c"]])
         vocab = vocab_of(corpus)
-        side = _over_vocabulary(corpus, vocab)
+        side = corpus._over_vocabulary(range(len(corpus)), vocab)
         # A corpus's own counts, a subset's, a computed selection and the counts of
         # a corpus over the vocabulary.
         selected = count_matrix(corpus, vocab)
@@ -52,7 +51,7 @@ class TestCountMatrix:
     def test_a_corpus_over_the_vocabulary_holds_its_count_matrix(self):
         corpus = corpus_from_tokens([["a", "b", "a"], ["c", "d"]])
         vocab = vocab_of(corpus, max_terms=2)
-        side = _over_vocabulary(corpus, vocab)
+        side = corpus._over_vocabulary(range(len(corpus)), vocab)
         assert side.terms is vocab.terms
         assert [d.author_id for d in side.docs] == [d.author_id for d in corpus.docs]
         np.testing.assert_array_equal(side.counts.toarray(), count_matrix(corpus, vocab).toarray())
