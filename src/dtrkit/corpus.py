@@ -230,16 +230,20 @@ class Corpus:
         sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf."""
         indices = list(indices)
         child = Corpus([self.docs[i] for i in indices], self.tasks)
-        ids = np.array([vocab.index.get(t, -1) for t in self.terms], dtype=np.int64)
-        present = np.flatnonzero(ids >= 0)
-        # Column j goes to vocabulary column ids[j], each count times 1.0.  The
-        # product leaves rows unsorted; the trip through CSC sorts them by counting.
-        select = sp.csr_matrix(
-            (np.ones(present.size), (present, ids[present])), shape=(len(self.terms), len(vocab))
-        )
-        child.terms = vocab.terms
-        child.counts = _read_only((self.counts[indices] @ select).tocsc().tocsr())
+        child.terms, child.counts = vocab.terms, _select(self.counts[indices], self.terms, vocab)
         return child
+
+
+def _select(counts: sp.csr_matrix, terms: list[str], vocab: "Vocabulary") -> sp.csr_matrix:
+    """Read-only ``counts``, whose columns are ``terms``, over the columns ``vocab.terms``."""
+    ids = np.array([vocab.index.get(t, -1) for t in terms], dtype=np.int64)
+    present = np.flatnonzero(ids >= 0)
+    # Column j goes to vocabulary column ids[j], each count times 1.0.  The
+    # product leaves rows unsorted; the trip through CSC sorts them by counting.
+    select = sp.csr_matrix(
+        (np.ones(present.size), (present, ids[present])), shape=(len(terms), len(vocab))
+    )
+    return _read_only((counts @ select).tocsc().tocsr())
 
 
 def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:

@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .corpus import Corpus, Vocabulary, _naming_bad_utf8
 from .representations import TermMatrix, _finite_real, _fmt_row, _integer, _parse_row, _positive_int
@@ -131,6 +130,7 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     then added to ``w_out`` and ``w_in`` in row order.  Returns the batch's
     summed loss.
     """
+    from scipy.special import expit  # not at import: older scipy.special loads scipy.linalg
     targets = np.concatenate((contexts[:, None], negs), axis=1)
     weight = np.concatenate((np.ones((len(contexts), 1)), negs != contexts[:, None]), axis=1)
     labels = np.zeros(targets.shape)

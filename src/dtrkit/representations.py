@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _read_text
+from .corpus import Corpus, Vocabulary, _read_text, _select
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -117,7 +117,7 @@ def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
     builder of the fold reads; any other corpus gets a new matrix on each call."""
     if corpus.terms is vocab.terms:
         return corpus.counts
-    return corpus._over_vocabulary(range(len(corpus)), vocab).counts
+    return _select(corpus.counts, corpus.terms, vocab)
 
 
 def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:
