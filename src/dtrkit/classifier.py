@@ -208,9 +208,11 @@ def train_linear_svm(
     :class:`ConvergenceWarning`.  ``standardize=True`` (off by default)
     applies a per-dimension training-fold standardization that the model
     replays at prediction time.  Memory: the dense features, n * d * 8 bytes
-    (sparse input is densified on entry), and one Gram matrix of the training
-    rows shared by all machines, n_train^2 * 8 bytes, plus one copy of its
-    free-set block while that is solved.
+    (sparse input is densified on entry), their bias-augmented copy from
+    ``np.hstack``, n * (d + 1) * 8 bytes, one more n * d copy with
+    ``standardize``, and one Gram matrix of the training rows shared by all
+    machines, n_train^2 * 8 bytes, plus one copy of its free-set block while
+    that is solved.
     """
     mat = _as_feature_matrix(X)
     labels = [str(lab) for lab in y]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifier, embeddings, representations
-from .corpus import Corpus, Vocabulary, build_vocabulary
+from .corpus import Corpus, build_vocabulary
 from .representations import _check_one_of, _finite_real, _positive_int
 from .stopwords import default_stopwords
 
@@ -223,35 +223,42 @@ def _pretrained_vectors(corpus: Corpus, path) -> tuple[list[str], np.ndarray]:
     return [words[i] for i in rows], matrix[rows]
 
 
-def _build_term_matrix(
-    train: Corpus, task: str, vocab: Vocabulary, rep: RepConfig, fold_seed: int, vectors
-):
-    if rep.kind == "dor":
-        return representations.build_dor(train, vocab)
-    if rep.kind == "tcor":
-        return representations.build_tcor(train, vocab, idf_mode=rep.tcor_idf)
-    if rep.kind == "ssr":
-        assignment = representations.cluster_subprofiles(
-            train, task, vocab, k_per_class=rep.k_per_class, seed=fold_seed
-        )
-        return representations.build_ssr(train, vocab, assignment)
-    if rep.kind == "w2v-train":
-        return embeddings.train_skipgram(train, vocab, rep.embedding, seed=fold_seed)
-    if rep.kind == "w2v-pretrained":
-        return embeddings.project_embeddings(*vectors, vocab, source=rep.pretrained_path)
-    raise ValueError(f"unknown representation kind {rep.kind!r}")
+# The term-matrix builder of each kind but ``bow``, called as
+# ``builder(train, task, vocab, rep, fold_seed, vectors)``.  Each looks its
+# function up when it runs, so a function rebound in its module is the one called.
+_TERM_MATRIX_BUILDERS = {
+    "dor": lambda train, task, vocab, rep, seed, vectors: representations.build_dor(train, vocab),
+    "tcor": lambda train, task, vocab, rep, seed, vectors: representations.build_tcor(
+        train, vocab, idf_mode=rep.tcor_idf
+    ),
+    "ssr": lambda train, task, vocab, rep, seed, vectors: representations.build_ssr(
+        train, vocab, representations.cluster_subprofiles(train, task, vocab, rep.k_per_class, seed)
+    ),
+    "w2v-train": lambda train, task, vocab, rep, seed, vectors: embeddings.train_skipgram(
+        train, vocab, rep.embedding, seed=seed
+    ),
+    "w2v-pretrained": lambda train, task, vocab, rep, seed, vectors: embeddings.project_embeddings(
+        *vectors, vocab, source=rep.pretrained_path
+    ),
+}
 
 
-def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
+def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors, matrices):
+    """The training and test features of one fold.  Its term matrix is dropped
+    once both sides are aggregated, unless ``matrices`` is a list to keep it in
+    (``None`` for ``bow``)."""
     if rep.kind == "bow":
         idf = classifier.compute_idf(train, vocab) if clf.bow_weighting == "tfidf" else None
+        tm = None
         x_train = classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf)
         x_test = classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf)
-        return x_train, x_test, None
-    tm = _build_term_matrix(train, task, vocab, rep, fold_seed, vectors)
-    x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
-    x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
-    return x_train, x_test, tm
+    else:
+        tm = _TERM_MATRIX_BUILDERS[rep.kind](train, task, vocab, rep, fold_seed, vectors)
+        x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
+        x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
+    if matrices is not None:
+        matrices.append(tm)
+    return x_train, x_test
 
 
 @dataclass
@@ -307,6 +314,8 @@ def cross_validate(
     the same ``(task, k, seed)`` reuse them.  All randomness flows from ``seed``:
     each fold draws its own seed from it, and SSR clustering and skip-gram training
     use that fold's seed.  A pretrained vector file is read once, before the first fold.
+    One fold's term matrix, features and model are held at a time;
+    ``keep_fold_matrices=True`` keeps every fold's term matrix for the report.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
@@ -315,12 +324,12 @@ def cross_validate(
     if rep.kind == "w2v-pretrained":
         vectors = _pretrained_vectors(corpus, rep.pretrained_path)
     results: list[FoldResult] = []
-    matrices: list = []
+    matrices = [] if keep_fold_matrices else None
     for fold_idx, fold in enumerate(folds):
         vocab, train, test = fold.over_vocabulary(corpus, rep.max_terms)
         fold_seed = _fold_seed(seed, fold_idx)
-        x_train, x_test, tm = _fold_features(
-            train, test, task, vocab, rep, clf, fold_seed, vectors
+        x_train, x_test = _fold_features(
+            train, test, task, vocab, rep, clf, fold_seed, vectors, matrices
         )
         model = classifier.train_linear_svm(
             x_train,
@@ -338,8 +347,7 @@ def cross_validate(
                 rep_dims=int(x_train.shape[1]),
             )
         )
-        if keep_fold_matrices:
-            matrices.append(tm)
+        del x_train, x_test, model  # no array of this fold lives on while the next one builds
     mean_acc = float(np.mean([r.accuracy for r in results]))
     return EvalReport(
         rep_id=rep.id,
@@ -349,7 +357,7 @@ def cross_validate(
         folds=results,
         mean_accuracy=mean_acc,
         corpus_name=corpus_name,
-        fold_matrices=matrices if keep_fold_matrices else None,
+        fold_matrices=matrices,
     )
 
 

@@ -170,6 +170,10 @@ def build_dor(train: Corpus, vocab: Vocabulary) -> TermMatrix:
     )
 
 
+_TCOR_BLOCK = 256  # rows of the co-occurrence counts per float32 product
+_FLOAT32_EXACT = 2**24  # float32 holds every integer from 0 to this exactly
+
+
 def build_tcor(train: Corpus, vocab: Vocabulary, idf_mode: str = "feature-term") -> TermMatrix:
     """Represent each term by its co-occurrence profile over the vocabulary.
 
@@ -178,18 +182,38 @@ def build_tcor(train: Corpus, vocab: Vocabulary, idf_mode: str = "feature-term")
     terms sharing at least one document with the feature term t_j
     (``feature-term`` mode, default) or with the represented term t_i
     (``row-term`` mode).  The diagonal is zero: a term is not its own context.
+
+    The counts ``n_ij`` are float32 products of the 0/1 document x term
+    matrix, taken 256 rows at a time into the float64 result.  Every partial
+    sum is an integer no larger than the number of training documents, so
+    the counts are exact up to 2**24 documents; more are refused with
+    ``ValueError``.  Memory: the |V| x |V| float64 result, its |V| x |V|
+    ``n > 0`` mask while it is weighed, the n_train x |V| float32 0/1 matrix
+    and one 256 x |V| float32 block.
     """
     _check_one_of("idf_mode", idf_mode, TCOR_IDF_MODES)
     _require_nonempty(train, vocab)
-    # Nearly every pair of terms shares some document, so the matrix is
-    # stored dense; a dense BLAS product of 0/1 counts is exact.
-    bd = (count_matrix(train, vocab).toarray() > 0).astype(np.float64)
-    co = bd.T @ bd
+    co = _cooccurrence_counts(count_matrix(train, vocab))
     np.fill_diagonal(co, 0.0)
     partners = np.count_nonzero(co, axis=1).astype(np.float64)  # symmetric: rows == columns
     spread = partners[np.newaxis, :] if idf_mode == "feature-term" else partners[:, np.newaxis]
     co = _log_idf(co, spread)
     return TermMatrix("TCOR", list(vocab.terms), co, feature_names=list(vocab.terms))
+
+
+def _cooccurrence_counts(counts: sp.csr_matrix) -> np.ndarray:
+    """The dense float64 |V| x |V| number of documents holding both terms;
+    nearly every pair of terms shares some document."""
+    if counts.shape[0] > _FLOAT32_EXACT:
+        raise ValueError(
+            f"co-occurrence counts are exact for at most {_FLOAT32_EXACT} documents, "
+            f"got {counts.shape[0]}"
+        )
+    present = (counts > 0).astype(np.float32).toarray()
+    co = np.empty((counts.shape[1], counts.shape[1]))
+    for start in range(0, len(co), _TCOR_BLOCK):
+        co[start : start + _TCOR_BLOCK] = present[:, start : start + _TCOR_BLOCK].T @ present
+    return co
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,16 @@ class TestTrainSkipgram:
         with pytest.raises(ValueError, match="vocabulary"):
             train_skipgram(corpus, vocab, EmbeddingConfig(dim=2))
 
+    def test_non_finite_vectors_refused(self, monkeypatch):
+        def diverging_step(w_in, w_out, centers, contexts, negs, lr):
+            w_in[:] = np.nan
+            return 0.0
+
+        monkeypatch.setattr(embeddings, "_sgns_step", diverging_step)
+        corpus = identical_context_corpus()
+        with pytest.raises(FloatingPointError, match="non-finite vectors"):
+            train_skipgram(corpus, build_vocabulary(corpus), EmbeddingConfig(dim=4), seed=0)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(dim=0)

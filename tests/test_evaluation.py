@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dtrkit import classifier, evaluation, representations
 from dtrkit.corpus import AuthorDoc, Corpus, load_corpus, save_jsonl
 from dtrkit.evaluation import (
+    REP_KINDS,
     ClfConfig,
     EvalReport,
     FoldResult,
@@ -842,7 +844,72 @@ class TestClfConfigStandardize:
         assert len(report.folds) == 3
 
 
+class TestFoldLifetime:
+    """``cross_validate`` holds one fold's term matrix, features and model at
+    a time, unless it is asked to keep the term matrices."""
+
+    KINDS = ("dor", "tcor")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nothing_of_a_fold_is_alive_when_the_next_one_builds(self, monkeypatch, kind):
+        corpus = make_synthetic_corpus(authors_per_category=10, tokens_per_doc=40, seed=4)
+        made = []  # a weak reference to each term matrix, feature array and model
+        alive_at_build = []
+
+        def track(module, name, on_entry=lambda: None):
+            inner = getattr(module, name)
+
+            def tracked(*args, **kwargs):
+                on_entry()
+                result = inner(*args, **kwargs)
+                made.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(module, name, tracked)
+
+        track(
+            representations,
+            f"build_{kind}",
+            lambda: alive_at_build.append(sum(ref() is not None for ref in made)),
+        )
+        track(representations, "aggregate_corpus")
+        track(classifier, "train_linear_svm")
+        gc.disable()
+        try:
+            # Without the cyclic collector, only reference counting can free them.
+            cross_validate(corpus, "topic", RepConfig(kind=kind), k=4, seed=5)
+        finally:
+            gc.enable()
+        assert len(made) == 4 * 4
+        assert alive_at_build == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_matrices_equal_those_of_a_run_that_drops_them(self, monkeypatch, kind):
+        corpus = make_synthetic_corpus(authors_per_category=10, tokens_per_doc=40, seed=4)
+        rep, built = RepConfig(kind=kind), []
+        build = getattr(representations, f"build_{kind}")
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(representations, f"build_{kind}", recording_build)
+        dropped = cross_validate(corpus, "topic", rep, k=4, seed=5)
+        monkeypatch.undo()
+        kept = cross_validate(corpus, "topic", rep, k=4, seed=5, keep_fold_matrices=True)
+        assert dropped.fold_matrices is None
+        assert len(kept.fold_matrices) == len(built) == 4
+        for got, want in zip(kept.fold_matrices, built):
+            assert got is not want
+            assert (got.terms, got.feature_names) == (want.terms, want.feature_names)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert report_to_json(kept) == report_to_json(dropped)
+
+
 class TestRepConfig:
+    def test_every_kind_but_bow_has_a_term_matrix_builder(self):
+        assert set(evaluation._TERM_MATRIX_BUILDERS) == set(REP_KINDS) - {"bow"}
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             RepConfig(kind="lda")

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,27 @@ def test_kmeans_matches_naive_kmeans(case):
         got = representations._kmeans(X, k, got_rng)
     assert got.tolist() == want.tolist()
     assert got_rng.random() == want_rng.random()
+
+
+@st.composite
+def count_tables(draw):
+    """A document x term table of small counts and a co-occurrence block size."""
+    n_docs, n_terms = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, 3), min_size=n_terms, max_size=n_terms)
+    rows = draw(st.lists(row, min_size=n_docs, max_size=n_docs))
+    return np.array(rows, dtype=np.float64), draw(st.integers(1, 3))
+
+
+@settings(deadline=None)
+@given(count_tables())
+@example((np.eye(7) + np.eye(7, k=1) + 2 * np.eye(7, k=-3), 3))  # blocks of 3, 3 and 1 row
+def test_cooccurrence_counts_equal_float64_product(case):
+    table, block = case
+    present = (table > 0).astype(np.float64)
+    with mock.patch.object(representations, "_TCOR_BLOCK", block):
+        got = representations._cooccurrence_counts(sp.csr_matrix(table))
+    assert got.dtype == np.float64
+    assert got.tobytes() == (present.T @ present).tobytes()
 
 
 @settings(deadline=None)

@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dtrkit import representations
 from dtrkit.classifier import SvmModel, build_bow_matrix, load_svm_model, save_svm_model
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.representations import (
@@ -22,6 +24,7 @@ from dtrkit.representations import (
     load_term_matrix,
     save_term_matrix,
 )
+from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens, random_token_lists
 from oracles import best_two_partition_sse, naive_aggregate, naive_dor, naive_tcor
@@ -180,6 +183,40 @@ class TestBuildTcor:
         corpus = corpus_from_tokens([["a", "b"]])
         with pytest.raises(ValueError, match="idf_mode"):
             build_tcor(corpus, vocab_of(corpus), idf_mode="global")
+
+    def test_refuses_more_documents_than_float32_counts_exactly(self, monkeypatch):
+        monkeypatch.setattr(representations, "_FLOAT32_EXACT", 3)
+        lists = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"]]
+        three, four = corpus_from_tokens(lists[:3]), corpus_from_tokens(lists)
+        build_tcor(three, vocab_of(three))
+        with pytest.raises(ValueError, match="exact for at most 3 documents, got 4"):
+            build_tcor(four, vocab_of(four))
+
+    def test_peak_memory_is_the_result_its_mask_and_a_float32_copy(self):
+        # 400 documents over |V| = 1560 terms, as a fold side: the builder
+        # reads the side's own counts and allocates everything it holds.
+        corpus = make_synthetic_corpus(
+            authors_per_category=200, tokens_per_doc=300, shared_terms=1500,
+            topical_fraction=0.02, seed=3,
+        )
+        vocab = vocab_of(corpus)
+        train = corpus._over_vocabulary(range(len(corpus)), vocab)
+        n, v = len(train), len(vocab)
+        assert v >= 1000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_tcor(train, vocab)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # The result and its n > 0 mask are 1.125 x |V|^2 x 8 bytes; a float64
+        # copy of the 0/1 documents would add n x |V| x 8 bytes more.
+        assert peak <= 1.2 * v * v * 8 + n * v * 4
 
 
 class TestClusterSubprofiles:
