@@ -130,7 +130,7 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.tasks = frozenset(self.tasks)
-        self._folds: tuple | None = None  # evaluation.cross_validate's latest partition
+        self._folds: tuple | None = None  # evaluation.cross_validate's latest fold table
         self._rows: dict[str, int] = {}
         tasks = sorted(self.tasks)
         for row, doc in enumerate(self.docs):

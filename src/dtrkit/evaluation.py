@@ -261,38 +261,18 @@ def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors, matri
     return x_train, x_test
 
 
-@dataclass
-class _Fold:
-    """One fold: its training and test rows and, per ``max_terms``, a triple of
-    the training vocabulary and both sides over it (never its corpus, which holds it)."""
-
-    train_idx: list[int]
-    test_idx: list[int]
-    sides: dict = field(default_factory=dict)
-
-    def over_vocabulary(self, corpus: Corpus, max_terms: int | None) -> tuple:
-        if max_terms not in self.sides:
-            vocab = build_vocabulary(corpus.subset(self.train_idx), max_terms)
-            sides = (corpus._over_vocabulary(idx, vocab) for idx in (self.train_idx, self.test_idx))
-            self.sides[max_terms] = (vocab, *sides)
-        return self.sides[max_terms]
-
-
-def _folds(corpus: Corpus, task: str, k: int, seed: int) -> list[_Fold]:
-    """The folds of the ``(task, k, seed)`` partition of ``corpus``.
-
-    The corpus keeps the latest partition, so every representation run on
-    it shares one split and each fold's sides over each of its vocabularies.
-    """
-    key = (task, k, seed)
-    if corpus._folds is None or corpus._folds[0] != key:
-        folds = []
-        for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
-            test_set = set(test_idx)
-            train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
-            folds.append(_Fold(train_idx, test_idx))
-        corpus._folds = (key, folds)
-    return corpus._folds[1]
+def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | None) -> list:
+    """One ``(vocab, train, test)`` triple per fold of the ``(task, k, seed)``
+    partition: the vocabulary of the fold's training documents and both sides
+    over it (never ``corpus``, which keeps the table)."""
+    table = []
+    for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
+        test_set = set(test_idx)
+        train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
+        vocab = build_vocabulary(corpus.subset(train_idx), max_terms)
+        sides = (corpus._over_vocabulary(idx, vocab) for idx in (train_idx, test_idx))
+        table.append((vocab, *sides))
+    return table
 
 
 def cross_validate(
@@ -309,9 +289,9 @@ def cross_validate(
 
     Each fold's vocabulary and all representation state come from its
     training documents only, so no test text, count, or label can leak into
-    the features.  The split is kept on the corpus, each fold keeps its vocabulary
-    per ``max_terms`` and both sides over it, and further representations run over
-    the same ``(task, k, seed)`` reuse them.  All randomness flows from ``seed``:
+    the features.  The corpus keeps the fold table of the latest
+    ``(task, k, seed, max_terms)``, which further representations over that key
+    reuse.  All randomness flows from ``seed``:
     each fold draws its own seed from it, and SSR clustering and skip-gram training
     use that fold's seed.  A pretrained vector file is read once, before the first fold.
     One fold's term matrix, features and model are held at a time;
@@ -319,14 +299,15 @@ def cross_validate(
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
-    folds = _folds(corpus, task, k, seed)
+    key = (task, k, seed, rep.max_terms)
+    if corpus._folds is None or corpus._folds[0] != key:
+        corpus._folds = (key, _fold_table(corpus, task, k, seed, rep.max_terms))
     vectors = None
     if rep.kind == "w2v-pretrained":
         vectors = _pretrained_vectors(corpus, rep.pretrained_path)
     results: list[FoldResult] = []
     matrices = [] if keep_fold_matrices else None
-    for fold_idx, fold in enumerate(folds):
-        vocab, train, test = fold.over_vocabulary(corpus, rep.max_terms)
+    for fold_idx, (vocab, train, test) in enumerate(corpus._folds[1]):
         fold_seed = _fold_seed(seed, fold_idx)
         x_train, x_test = _fold_features(
             train, test, task, vocab, rep, clf, fold_seed, vectors, matrices

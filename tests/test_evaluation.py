@@ -768,12 +768,7 @@ class TestSharedFolds:
         assert len({id(m) for m in matrices}) == 24
         # Each side of the kept folds holds its count matrix, over its fold's vocabulary.
         held = {id(m) for m in matrices}
-        sides = [
-            (vocab, side)
-            for fold in corpus._folds[1]
-            for vocab, *pair in fold.sides.values()
-            for side in pair
-        ]
+        sides = [(vocab, side) for vocab, *pair in corpus._folds[1] for side in pair]
         assert len(sides) == 8
         assert all(side.terms is vocab.terms and id(side.counts) in held for vocab, side in sides)
 
