@@ -134,9 +134,6 @@ class Corpus:
         self._rows: dict[str, int] = {}
         tasks = sorted(self.tasks)
         for row, doc in enumerate(self.docs):
-            if doc.author_id.splitlines() != [doc.author_id]:
-                # Text containers write one id per line; this also rejects "".
-                raise ValueError(f"author_id {doc.author_id!r} must be non-empty and single-line")
             if doc.author_id in self._rows:
                 raise ValueError(f"duplicate author_id {doc.author_id!r}")
             self._rows[doc.author_id] = row
@@ -145,14 +142,7 @@ class Corpus:
                 raise ValueError(
                     f"author {doc.author_id!r} is missing labels for tasks {sorted(missing)}"
                 )
-            for task in tasks:
-                label = doc.labels[task]
-                # Labels name SSR features ("category/cluster"), one per line.
-                if label.splitlines() != [label]:
-                    raise ValueError(
-                        f"author {doc.author_id!r} has label {label!r} for task {task!r}; "
-                        "labels must be non-empty and single-line"
-                    )
+            _check_names(doc.author_id, {task: doc.labels[task] for task in tasks})
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -246,6 +236,21 @@ def _select(counts: sp.csr_matrix, terms: list[str], vocab: "Vocabulary") -> sp.
     return _read_only((counts @ select).tocsc().tocsr())
 
 
+def _check_names(author_id: str, labels: dict[str, str], where: str = "") -> None:
+    """Refuse an author id or a label that is empty or spans lines, naming
+    ``where`` it was read when given.  Text containers write one id per
+    line, and SSR names its features "category/cluster", one per line."""
+    at = f"{where}: " if where else ""
+    if author_id.splitlines() != [author_id]:
+        raise ValueError(f"{at}author_id {author_id!r} must be non-empty and single-line")
+    for task, label in labels.items():
+        if label.splitlines() != [label]:
+            raise ValueError(
+                f"{at}author {author_id!r} has label {label!r} for task {task!r}; "
+                "labels must be non-empty and single-line"
+            )
+
+
 def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """``matrix``, its arrays flagged read-only: every count matrix is shared."""
     for array in (matrix.data, matrix.indices, matrix.indptr):
@@ -274,6 +279,7 @@ def _load_pan_dir(root: Path) -> Corpus:
     if not truth_path.is_file():
         raise FileNotFoundError(f"missing truth file: {truth_path}")
     truth: dict[str, dict[str, str]] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(truth_path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
@@ -285,6 +291,7 @@ def _load_pan_dir(root: Path) -> Corpus:
             )
         author_id, gender, age = (part.strip() for part in parts)
         truth[author_id] = {"gender": gender, "age": age}
+        _check_record(first_line, author_id, truth[author_id], truth_path, lineno)
 
     docs = []
     found: set[str] = set()
@@ -306,6 +313,7 @@ def _load_pan_dir(root: Path) -> Corpus:
 def _load_jsonl(path: Path) -> Corpus:
     docs = []
     tasks: frozenset[str] | None = None
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -330,12 +338,25 @@ def _load_jsonl(path: Path) -> Corpus:
                 f"earlier records {sorted(tasks)}"
             )
         author_id = _name_value(record["author_id"], "author_id", where)
+        _check_record(first_line, author_id, labels, path, lineno)
         text = record["text"]
         if not isinstance(text, str):
             raise ValueError(f"{where}: 'text' must be a string, got {json.dumps(text)}")
         docs.append(AuthorDoc.from_text(author_id, text, labels))
     docs.sort(key=lambda d: d.author_id)
     return Corpus(docs, tasks if tasks is not None else frozenset())
+
+
+def _check_record(first_line: dict[str, int], author_id: str, labels, path, lineno: int) -> None:
+    """Refuse, at ``path:lineno``, a record that ``Corpus`` would refuse: an
+    author seen before (``first_line`` maps each author to its line) or a bad name."""
+    where = f"{path}:{lineno}"
+    if author_id in first_line:
+        raise ValueError(
+            f"{where}: duplicate author_id {author_id!r}, first on line {first_line[author_id]}"
+        )
+    first_line[author_id] = lineno
+    _check_names(author_id, labels, where)
 
 
 def _read_text(path) -> str:

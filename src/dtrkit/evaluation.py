@@ -299,6 +299,8 @@ def cross_validate(
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
+    if k < 2:  # one fold would train on no documents
+        raise ValueError(f"k must be at least 2 for cross-validation, got {k}")
     key = (task, k, seed, rep.max_terms)
     if corpus._folds is None or corpus._folds[0] != key:
         corpus._folds = (key, _fold_table(corpus, task, k, seed, rep.max_terms))

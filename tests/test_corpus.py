@@ -96,6 +96,27 @@ class TestLoadPanDir:
         with pytest.raises(ValueError, match=":2:"):
             load_corpus(tmp_path, "pan-dir")
 
+    def test_repeated_author_names_both_truth_lines(self, tmp_path):
+        lines = ["a:::male:::20", "b:::male:::30", "a:::female:::40"]
+        self.write_pan(tmp_path, lines, {"a": "hi", "b": "yo"})
+        message = f"{tmp_path / 'truth.txt'}:3: duplicate author_id 'a', first on line 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(tmp_path, "pan-dir")
+
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            (":::male:::20", "author_id '' must be non-empty and single-line"),
+            ("a:::male:::", "author 'a' has label '' for task 'age'"),
+            ("a::: :::20", "author 'a' has label '' for task 'gender'"),
+            ("a:::ma\u2028le:::20", "author 'a' has label 'ma\\u2028le' for task 'gender'"),
+        ],
+    )
+    def test_unwritable_truth_name_names_its_line(self, tmp_path, line, fault):
+        self.write_pan(tmp_path, ["b:::male:::30", line], {"a": "hi", "b": "yo"})
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'truth.txt'}:2: {fault}")):
+            load_corpus(tmp_path, "pan-dir")
+
     def test_missing_truth_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path, "pan-dir")
@@ -180,7 +201,7 @@ class TestLoadJsonl:
         path = tmp_path / "c.jsonl"
         record = {"author_id": author_id, "text": "a text", "gender": "f"}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(repr(author_id))):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: author_id {author_id!r}")):
             load_corpus(path, "jsonl")
 
     @pytest.mark.parametrize(
@@ -193,9 +214,17 @@ class TestLoadJsonl:
         path = tmp_path / "c.jsonl"
         record = {"author_id": "a1", "text": "a text", "gender": label}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(repr(label))) as info:
+        message = f"{path}:1: author 'a1' has label {label!r} for task 'gender'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_corpus(path, "jsonl")
-        assert "'a1'" in str(info.value) and "'gender'" in str(info.value)
+
+    def test_repeated_author_names_both_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        records = [{"author_id": a, "text": "a text", "gender": "f"} for a in ("a", "b", "a")]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        message = f"{path}:3: duplicate author_id 'a', first on line 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(path, "jsonl")
 
     @pytest.mark.parametrize("key", ["author_id", "gender"])
     @pytest.mark.parametrize("value", [None, True, False, ["m"], {"v": "m"}])

@@ -14,6 +14,7 @@ from dtrkit.evaluation import (
     accuracy,
     collection_stats,
     correlation_map,
+    cross_validate,
     reports_to_accuracy_csv,
     top_terms_tfidf,
 )
@@ -75,6 +76,10 @@ REFUSALS = [
     (lambda _: accuracy([], []), "cannot score empty label lists"),
     (lambda _: reports_to_accuracy_csv({}), "no reports given"),
     (lambda _: collection_stats(EMPTY, "cat"), "corpus is empty"),
+    (
+        lambda _: cross_validate(make_synthetic_corpus(authors_per_category=2), "topic", k=1),
+        "k must be at least 2 for cross-validation, got 1",
+    ),
     (
         lambda _: correlation_map(
             {"g1": {"dor": report("dor")}, "g2": {"dor": report("dor")}},
