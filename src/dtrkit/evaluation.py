@@ -285,17 +285,15 @@ def cross_validate(
     corpus_name: str | None = None,
     keep_fold_matrices: bool = False,
 ) -> EvalReport:
-    """Stratified k-fold evaluation of one representation on one task.
+    """Stratified k-fold evaluation (``k`` >= 2) of one representation on one task.
 
-    Each fold's vocabulary and all representation state come from its
-    training documents only, so no test text, count, or label can leak into
-    the features.  The corpus keeps the fold table of the latest
-    ``(task, k, seed, max_terms)``, which further representations over that key
-    reuse.  All randomness flows from ``seed``:
-    each fold draws its own seed from it, and SSR clustering and skip-gram training
-    use that fold's seed.  A pretrained vector file is read once, before the first fold.
-    One fold's term matrix, features and model are held at a time;
-    ``keep_fold_matrices=True`` keeps every fold's term matrix for the report.
+    Each fold's vocabulary and features come from its training documents
+    only.  The corpus keeps the fold table of the latest
+    ``(task, k, seed, max_terms)`` for the next call with that key.  Each fold
+    draws its seed, used by SSR clustering and skip-gram training, from
+    ``seed``.  A pretrained vector file is read once, before the first fold.
+    One fold's arrays are held at a time; ``keep_fold_matrices=True`` keeps
+    every fold's term matrix for the report.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
