@@ -142,7 +142,7 @@ class Corpus:
                 raise ValueError(
                     f"author {doc.author_id!r} is missing labels for tasks {sorted(missing)}"
                 )
-            _check_names(doc.author_id, {task: doc.labels[task] for task in tasks})
+            _check_names(doc.author_id, doc.labels, tasks)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -236,17 +236,17 @@ def _select(counts: sp.csr_matrix, terms: list[str], vocab: "Vocabulary") -> sp.
     return _read_only((counts @ select).tocsc().tocsr())
 
 
-def _check_names(author_id: str, labels: dict[str, str], where: str = "") -> None:
-    """Refuse an author id or a label that is empty or spans lines, naming
-    ``where`` it was read when given.  Text containers write one id per
-    line, and SSR names its features "category/cluster", one per line."""
-    at = f"{where}: " if where else ""
+def _check_names(author_id: str, labels: dict[str, str], tasks) -> None:
+    """Refuse an author id, or its label for one of ``tasks``, that is empty
+    or spans lines.  Text containers write one id per line, and SSR names its
+    features "category/cluster", one per line."""
     if author_id.splitlines() != [author_id]:
-        raise ValueError(f"{at}author_id {author_id!r} must be non-empty and single-line")
-    for task, label in labels.items():
+        raise ValueError(f"author_id {author_id!r} must be non-empty and single-line")
+    for task in tasks:
+        label = labels[task]
         if label.splitlines() != [label]:
             raise ValueError(
-                f"{at}author {author_id!r} has label {label!r} for task {task!r}; "
+                f"author {author_id!r} has label {label!r} for task {task!r}; "
                 "labels must be non-empty and single-line"
             )
 
@@ -350,13 +350,16 @@ def _load_jsonl(path: Path) -> Corpus:
 def _check_record(first_line: dict[str, int], author_id: str, labels, path, lineno: int) -> None:
     """Refuse, at ``path:lineno``, a record that ``Corpus`` would refuse: an
     author seen before (``first_line`` maps each author to its line) or a bad name."""
-    where = f"{path}:{lineno}"
     if author_id in first_line:
         raise ValueError(
-            f"{where}: duplicate author_id {author_id!r}, first on line {first_line[author_id]}"
+            f"{path}:{lineno}: duplicate author_id {author_id!r}, "
+            f"first on line {first_line[author_id]}"
         )
     first_line[author_id] = lineno
-    _check_names(author_id, labels, where)
+    try:
+        _check_names(author_id, labels, labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def _read_text(path) -> str:
