@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary, _naming_bad_utf8
-from .representations import TermMatrix, _finite_real, _fmt_row, _integer, _parse_row, _positive_int
+from .representations import TermMatrix, _finite_real, _integer, _parse_row, _positive_int, _row_format
 
 __all__ = [
     "EmbeddingConfig",
@@ -227,7 +227,8 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     one line per term (token followed by the vector values).  Refuses, before
     creating the file, what :func:`read_word2vec` would reject: zero
     dimensions, a term that is empty or holds whitespace, or a vector that
-    holds NaN or infinity."""
+    holds NaN or infinity.  The text is written a line at a time; one
+    line of it is held in memory."""
     if tm.dims < 1:
         raise ValueError(f"word2vec vectors need at least one dimension, got {tm.dims}")
     for term in tm.terms:
@@ -236,10 +237,11 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     bad = np.flatnonzero(~np.isfinite(tm.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"the vector of term {tm.terms[bad[0]]!r} holds a non-finite value")
+    line = "%s " + _row_format(tm.dims) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(tm.terms)} {tm.dims}\n")
         for term, row in zip(tm.terms, tm.matrix):
-            fh.write(term + " " + _fmt_row(row) + "\n")
+            fh.write(line % (term, *row.tolist()))
 
 
 def read_word2vec(path) -> tuple[list[str], np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classifier, embeddings, representations
 from .corpus import Corpus, build_vocabulary
-from .representations import _check_one_of, _finite_real, _positive_int
+from .representations import _check_one_of, _finite_real, _integer, _positive_int
 from .stopwords import default_stopwords
 
 __all__ = [
@@ -110,6 +110,8 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0) -> list[list[int]]:
     """
     labels = [str(lab) for lab in labels]
     n = len(labels)
+    if not _integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed % (2**63))
@@ -297,6 +299,8 @@ def cross_validate(
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
+    if not _integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 2:  # one fold would train on no documents
         raise ValueError(f"k must be at least 2 for cross-validation, got {k}")
     key = (task, k, seed, rep.max_terms)

@@ -7,6 +7,7 @@ into vectors by convex combination of their term vectors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -442,8 +443,12 @@ def aggregate_corpus(
 _TERM_MATRIX_MAGIC = "dtr-term-matrix 1"
 
 
+# 17 significant digits: every float64 reads back as the same bits.
+_FLOAT_SPEC = ".17g"
+
+
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_SPEC)
 
 
 # Config checks shared by every config object: JSON gives ints, floats and
@@ -467,9 +472,19 @@ def _check_one_of(name: str, value, allowed: tuple):
     return value
 
 
+@functools.lru_cache(maxsize=16)
+def _row_format(width: int) -> str:
+    """The ``%`` template of a row of ``width`` values written as by
+    :func:`_fmt`: ``"%.17g" % x`` and ``format(x, ".17g")`` print a float
+    through the same C routine, so the text is the same."""
+    return " ".join(["%" + _FLOAT_SPEC] * width)
+
+
 def _fmt_row(row) -> str:
-    """Space-separated values at 17 significant digits, which read back exactly."""
-    return " ".join(_fmt(v) for v in row)
+    """Space-separated values at 17 significant digits, which read back
+    exactly.  Only this row's values become Python objects."""
+    values = np.asarray(row).tolist()
+    return _row_format(len(values)) % tuple(values)
 
 
 def _parse_row(fields: list[str], where: str) -> list[float]:
@@ -490,17 +505,19 @@ def _write_container(path, magic: str, header: dict, labels: list[str], rows) ->
     ``magic`` line, one ``key value`` line per header field, one line per
     label, then one :func:`_fmt_row` line per row.  A label that would span
     lines, or a row holding NaN or infinity, is refused before the file is
-    created."""
+    created.  ``rows`` is read twice, to check and to write; the text is
+    written a row at a time, so one row of it is held in memory."""
     for label in labels:
         if "".join(label.splitlines()) != label:
             raise ValueError(f"label {label!r} contains a line break")
-    lines = [magic, *(f"{key} {value}" for key, value in header.items()), *labels]
     for i, row in enumerate(rows):
         if not np.isfinite(row).all():
             raise ValueError(f"row {i} holds a non-finite value")
-        lines.append(_fmt_row(row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in [magic, *(f"{key} {value}" for key, value in header.items()), *labels]:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(_fmt_row(row) + "\n")
 
 
 class _ContainerReader:
@@ -556,7 +573,8 @@ class _ContainerReader:
 
 def save_term_matrix(tm: TermMatrix, path) -> None:
     """Write a term matrix as text, one row per term at 17 significant
-    digits, so that :func:`load_term_matrix` reads it back exactly."""
+    digits, so that :func:`load_term_matrix` reads it back exactly.  The
+    text is written a row at a time; one row of it is held in memory."""
     features = tm.feature_names or []
     header = {
         "kind": tm.rep_kind,

@@ -428,6 +428,12 @@ def naive_sgns_batch(w_in, w_out, centers, contexts, negs, lr: float):
     return new_in, new_out, loss
 
 
+def naive_fmt_row(row) -> str:
+    """One row of a written number file, value by value: each at 17
+    significant digits, joined by single spaces."""
+    return " ".join(format(float(v), ".17g") for v in row)
+
+
 def naive_read_word2vec(path) -> tuple[list[str], np.ndarray]:
     """A textual word2vec file read one line at a time, each value through
     ``float``: 'count dim' header, then one 'word v1 .. vdim' line per

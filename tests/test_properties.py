@@ -2,6 +2,10 @@
 read from it, stratified folds, SSR k-means, the SVM solver, and the SVM
 model, term-matrix and word2vec containers."""
 
+import json
+import math
+import struct
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -28,6 +32,7 @@ from dtrkit.representations import (
 from oracles import (
     naive_count_matrix,
     naive_counts,
+    naive_fmt_row,
     naive_imbalance_and_hardness,
     naive_kmeans,
     naive_read_word2vec,
@@ -426,6 +431,75 @@ def test_word2vec_round_trips_bit_for_bit(tm):
         words, matrix = read_word2vec(path)
     assert words == tm.terms
     assert same_bits(matrix, tm.matrix)
+
+
+def floats_by_bits(code: str, size: int):
+    """Every finite value of a float type, drawn by bit pattern, so that
+    subnormals and the extremes come up."""
+    bits = st.binary(min_size=size, max_size=size)
+    return bits.map(lambda b: struct.unpack(code, b)[0]).filter(math.isfinite)
+
+
+FLOAT64_BITS = floats_by_bits("<d", 8) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+)
+FLOAT32_BITS = floats_by_bits("<f", 4)
+
+
+@st.composite
+def number_rows(draw):
+    """A row of 0-60 numbers: a float64, float32 or int64 array, or a list
+    of floats or of ints."""
+    width = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["float64", "float32", "int64", "float list", "int list"]))
+    values = {
+        "float64": FLOAT64_BITS,
+        "float32": FLOAT32_BITS,
+        "int64": st.integers(-(2**63), 2**63 - 1),
+        "float list": FLOAT64_BITS,
+        "int list": st.integers(-(2**1000), 2**1000),
+    }[kind]
+    row = draw(st.lists(values, min_size=width, max_size=width))
+    return row if kind.endswith("list") else np.array(row, dtype=kind)
+
+
+@settings(deadline=None)
+@given(number_rows())
+def test_row_text_matches_value_by_value_oracle(row):
+    assert representations._fmt_row(row) == naive_fmt_row(row)
+
+
+@settings(deadline=None)
+@given(embedding_matrices())
+def test_word2vec_file_text_matches_oracle(tm):
+    expected = f"{len(tm.terms)} {tm.dims}\n" + "".join(
+        f"{term} {naive_fmt_row(row)}\n" for term, row in zip(tm.terms, tm.matrix)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.txt"
+        save_embeddings(tm, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(deadline=None)
+@given(term_matrices())
+def test_term_matrix_file_text_matches_oracle(tm):
+    features = tm.feature_names or []
+    lines = [
+        "dtr-term-matrix 1",
+        f"kind {tm.rep_kind}",
+        f"terms {len(tm.terms)}",
+        f"dims {tm.dims}",
+        f"features {len(features)}",
+        f"meta {json.dumps(tm.meta, sort_keys=True)}",
+        *tm.terms,
+        *features,
+        *(naive_fmt_row(row) for row in tm.matrix),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix"
+        save_term_matrix(tm, path)
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 # What ``str.split`` treats as whitespace, some of it outside ASCII.

@@ -16,6 +16,7 @@ from dtrkit.evaluation import (
     correlation_map,
     cross_validate,
     reports_to_accuracy_csv,
+    stratified_kfold,
     top_terms_tfidf,
 )
 from dtrkit.representations import TermMatrix, build_dor, cluster_subprofiles
@@ -80,6 +81,12 @@ REFUSALS = [
         lambda _: cross_validate(make_synthetic_corpus(authors_per_category=2), "topic", k=1),
         "k must be at least 2 for cross-validation, got 1",
     ),
+    (
+        lambda _: cross_validate(make_synthetic_corpus(authors_per_category=2), "topic", k=2.5),
+        "k must be an integer, got 2.5",
+    ),
+    (lambda _: stratified_kfold(["a", "b", "a"], k=2.0), "k must be an integer, got 2.0"),
+    (lambda _: stratified_kfold(["a", "b", "a"], k=True), "k must be an integer, got True"),
     (
         lambda _: correlation_map(
             {"g1": {"dor": report("dor")}, "g2": {"dor": report("dor")}},

@@ -540,6 +540,25 @@ class TestSerialization:
             b"a\nb\nd0\nd1\n0.10000000000000001 0\n-2.5 1e-300\n"
         )
 
+    def test_writing_holds_less_than_the_file(self, tmp_path, rng):
+        # A 300 x 300 matrix is about 1.8 MB of text; written a row at a
+        # time, far less of it is held at once.
+        terms = [f"t{i}" for i in range(300)]
+        tm = TermMatrix("TCOR", terms, rng.normal(size=(300, 300)), terms)
+        path = tmp_path / "m.txt"
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_term_matrix(tm, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_before_writing(self, tmp_path, bad):
         tm = TermMatrix("TCOR", ["a", "b"], np.array([[0.0, 1.0], [bad, 0.0]]), ["a", "b"])
