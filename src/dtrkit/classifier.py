@@ -8,16 +8,15 @@ one-vs-rest reduction for more than two categories.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, _check_one_of, _finite_real, _positive_int
 from .representations import _ContainerReader, _fmt, _row_l2_normalize, _write_container, count_matrix
-from .representations import _check_one_of, _idf
+from .representations import _idf
 
 __all__ = [
     "BOW_WEIGHTINGS",
@@ -223,10 +222,12 @@ def train_linear_svm(
     categories = sorted(set(labels))
     if len(categories) < 2:
         raise ValueError(f"training labels contain a single category {categories[0]!r}")
-    if not (C > 0 and math.isfinite(C)):
+    if not (_finite_real(C) and C > 0):
         raise ValueError(f"C must be a finite positive number, got {C!r}")
-    if max_epochs < 1:
-        raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
+    if not (_finite_real(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if not _positive_int(max_epochs):
+        raise ValueError(f"max_epochs must be a positive integer, got {max_epochs!r}")
     feature_mean = feature_scale = None
     if standardize:
         feature_mean = mat.mean(axis=0)

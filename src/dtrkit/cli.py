@@ -5,12 +5,14 @@ query embeddings."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import embeddings, evaluation, representations
-from .corpus import CORPUS_FORMATS, _read_text, build_vocabulary, load_corpus
+from .corpus import CORPUS_FORMATS, DEFAULT_MAX_TERMS, _finite_real, _integer, _read_text
+from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
     ClfConfig,
@@ -23,7 +25,7 @@ from .evaluation import (
     report_to_json,
     reports_to_accuracy_csv,
 )
-from .representations import _finite_real, _first_repeat, _integer
+from .representations import _first_repeat
 
 __all__ = ["main", "ConfigError"]
 
@@ -64,33 +66,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     char = sub.add_parser("characterize", help="collection characteristics per task")
     char.add_argument("--corpus", required=True)
-    char.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
+    char.add_argument("--format", choices=CORPUS_FORMATS)
     char.add_argument("--task", help="task to characterize (default: all)")
     char.add_argument("--out", help="write the characteristics CSV here")
     char.set_defaults(func=_cmd_characterize)
 
     top = sub.add_parser("top-terms", help="discriminative authors and their tf-idf words")
     top.add_argument("--corpus", required=True)
-    top.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
+    top.add_argument("--format", choices=CORPUS_FORMATS)
     top.add_argument("--task", required=True)
     top.add_argument("--count", type=_int_at_least(0), default=3, help="authors per category")
     top.add_argument("--words", type=_int_at_least(0), default=10, help="tf-idf words per author")
-    top.add_argument("--max-terms", type=_int_at_least(1), default=10_000)
+    top.add_argument("--max-terms", type=_int_at_least(1), default=DEFAULT_MAX_TERMS)
     top.add_argument("--out", help="write the report CSV here")
     top.set_defaults(func=_cmd_top_terms)
 
     emb = sub.add_parser("embed-train", help="train skip-gram vectors on a corpus")
     emb.add_argument("--corpus", required=True)
-    emb.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
+    emb.add_argument("--format", choices=CORPUS_FORMATS)
     emb.add_argument("--out", required=True, help="output vectors file (word2vec text)")
     emb.add_argument("--seed", type=int, required=True)
-    emb.add_argument("--dim", type=int, default=100)
-    emb.add_argument("--window", type=int, default=5)
-    emb.add_argument("--negatives", type=int, default=5)
-    emb.add_argument("--epochs", type=int, default=5)
-    emb.add_argument("--lr", type=float, default=0.025)
-    emb.add_argument("--min-count", type=int, default=1)
-    emb.add_argument("--max-terms", type=_int_at_least(1), default=10_000)
+    emb.add_argument("--dim", type=int)
+    emb.add_argument("--window", type=int)
+    emb.add_argument("--negatives", type=int)
+    emb.add_argument("--epochs", type=int)
+    emb.add_argument("--lr", type=float, dest="initial_lr", metavar="LR")
+    emb.add_argument("--min-count", type=int)
+    emb.add_argument("--max-terms", type=_int_at_least(1), default=DEFAULT_MAX_TERMS)
     emb.set_defaults(func=_cmd_embed_train)
 
     nn = sub.add_parser("embed-neighbors", help="nearest neighbors in a vectors file")
@@ -325,7 +327,7 @@ def _require_corpus(args):
     path = Path(args.corpus)
     if not path.exists():
         raise ConfigError(f"corpus path does not exist: {path}")
-    return load_corpus(path, args.format)
+    return load_corpus(path, args.format) if args.format else load_corpus(path)
 
 
 def _cmd_characterize(args) -> int:
@@ -394,15 +396,10 @@ def _cmd_top_terms(args) -> int:
 
 
 def _cmd_embed_train(args) -> int:
+    fields = {f.name for f in dataclasses.fields(embeddings.EmbeddingConfig)}
+    given = {name: vars(args)[name] for name in fields if vars(args).get(name) is not None}
     try:
-        cfg = embeddings.EmbeddingConfig(
-            dim=args.dim,
-            window=args.window,
-            negatives=args.negatives,
-            epochs=args.epochs,
-            initial_lr=args.lr,
-            min_count=args.min_count,
-        )
+        cfg = embeddings.EmbeddingConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"bad embedding config: {exc}") from exc
     corpus = _require_corpus(args)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 import unicodedata
 from collections import Counter
@@ -25,7 +27,35 @@ __all__ = [
     "build_vocabulary",
 ]
 
-CORPUS_FORMATS = ("pan-dir", "jsonl")
+DEFAULT_MAX_TERMS = 10_000  # vocabulary size unless a caller sets max_terms
+
+
+# The argument rules every module shares: JSON gives ints, floats and bools,
+# and a bool is an int to Python.
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _positive_int(value) -> bool:
+    return _integer(value) and value > 0
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_one_of(name: str, value, allowed: tuple):
+    """``value``, if it is one of ``allowed``; ``ValueError`` otherwise."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
+
+
+def _seed(seed) -> int:
+    """``seed`` mod 2**63, as every generator takes it; refuses a bool or a non-integer."""
+    if not _integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) % (2**63)
 
 
 def _patterns(marks: str) -> tuple[re.Pattern, re.Pattern]:
@@ -266,12 +296,10 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     author.  ``jsonl``: one object per line with ``author_id``, ``text``,
     and one extra key per task.  Documents come back sorted by author_id.
     """
-    p = Path(path)
-    if format == "pan-dir":
-        return _load_pan_dir(p)
-    if format == "jsonl":
-        return _load_jsonl(p)
-    raise ValueError(f"unknown corpus format {format!r} (expected 'pan-dir' or 'jsonl')")
+    if format not in _LOADERS:
+        expected = " or ".join(map(repr, CORPUS_FORMATS))
+        raise ValueError(f"unknown corpus format {format!r} (expected {expected})")
+    return _LOADERS[format](Path(path))
 
 
 def _load_pan_dir(root: Path) -> Corpus:
@@ -345,6 +373,10 @@ def _load_jsonl(path: Path) -> Corpus:
         docs.append(AuthorDoc.from_text(author_id, text, labels))
     docs.sort(key=lambda d: d.author_id)
     return Corpus(docs, tasks if tasks is not None else frozenset())
+
+
+_LOADERS = {"pan-dir": _load_pan_dir, "jsonl": _load_jsonl}  # the corpus formats
+CORPUS_FORMATS = tuple(_LOADERS)
 
 
 def _check_record(first_line: dict[str, int], author_id: str, labels, path, lineno: int) -> None:
@@ -422,7 +454,7 @@ class Vocabulary:
         return term in self.index
 
 
-def build_vocabulary(corpus: Corpus, max_terms: int | None = 10_000) -> Vocabulary:
+def build_vocabulary(corpus: Corpus, max_terms: int | None = DEFAULT_MAX_TERMS) -> Vocabulary:
     """Keep the ``max_terms`` most frequent tokens over the whole corpus.
 
     Ties in collection frequency are broken lexicographically so the
@@ -431,8 +463,8 @@ def build_vocabulary(corpus: Corpus, max_terms: int | None = 10_000) -> Vocabula
     """
     if not corpus.docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    if max_terms is not None and max_terms < 1:
-        raise ValueError("max_terms must be a positive integer")
+    if not (max_terms is None or _positive_int(max_terms)):
+        raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}")
     totals = np.asarray(corpus.counts.sum(axis=0)).ravel()
     # corpus.terms is sorted, so a stable sort on -frequency breaks ties by term.
     ranked = np.argsort(-totals, kind="stable")[:max_terms]

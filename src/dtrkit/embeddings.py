@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _naming_bad_utf8
-from .representations import TermMatrix, _finite_real, _integer, _parse_row, _positive_int, _row_format
+from .corpus import Corpus, Vocabulary, _finite_real, _integer, _naming_bad_utf8, _positive_int, _seed
+from .representations import TermMatrix, _parse_row, _row_format
 
 __all__ = [
     "EmbeddingConfig",
@@ -167,7 +167,7 @@ def train_skipgram(
     if not corpus.docs:
         raise ValueError("corpus is empty")
     cfg = cfg or EmbeddingConfig()
-    rng = np.random.default_rng(seed % (2**63))
+    rng = np.random.default_rng(_seed(seed))
 
     freqs = np.array([vocab.freq[t] for t in vocab.terms], dtype=np.float64)
     trainable = freqs >= cfg.min_count
@@ -356,8 +356,8 @@ def load_embeddings(path, vocab: Vocabulary) -> TermMatrix:
 
 def nearest_neighbors(tm: TermMatrix, term: str, k: int) -> list[tuple[str, float]]:
     """Top-k cosine neighbors of ``term`` (query excluded; ties lexicographic)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if not _positive_int(k):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     i = tm.index_of(term)
     query = tm.matrix[i]
     norms = np.linalg.norm(tm.matrix, axis=1)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifier, embeddings, representations
-from .corpus import Corpus, build_vocabulary
-from .representations import _check_one_of, _finite_real, _integer, _positive_int
+from .corpus import DEFAULT_MAX_TERMS, Corpus, build_vocabulary
+from .corpus import _check_one_of, _finite_real, _integer, _positive_int, _seed
 from .stopwords import default_stopwords
 
 __all__ = [
@@ -57,7 +57,7 @@ class RepConfig:
     fold's seed."""
 
     kind: str = "bow"
-    max_terms: int = 10_000
+    max_terms: int = DEFAULT_MAX_TERMS
     weighting: str = "mean"  # term-vector aggregation for the DTR kinds
     k_per_class: int = 3  # ssr subprofiles per category
     tcor_idf: str = "feature-term"
@@ -114,7 +114,7 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0) -> list[list[int]]:
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed % (2**63))
+    rng = np.random.default_rng(_seed(seed))
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
     for cat in sorted(set(labels)):
@@ -211,8 +211,7 @@ def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
 
 
 def _fold_seed(seed: int, fold_idx: int) -> int:
-    state = np.random.SeedSequence([seed % (2**63), fold_idx]).generate_state(1, np.uint64)[0]
-    return int(state % (2**63))
+    return _seed(np.random.SeedSequence([_seed(seed), fold_idx]).generate_state(1, np.uint64)[0])
 
 
 def _pretrained_vectors(corpus: Corpus, path) -> tuple[list[str], np.ndarray]:
@@ -423,6 +422,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_threshold: int = 20) -
     is used.  Fewer than five nonzero differences flags the result as
     insufficient (never significant).
     """
+    if not (_finite_real(alpha) and 0 < alpha < 1):
+        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -582,8 +583,8 @@ def top_terms_tfidf(
     """
     if isinstance(author_ids, str):
         raise TypeError("author_ids must be a list of author ids, not a single string")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if not (_integer(n) and n >= 0):
+        raise ValueError(f"n must be non-negative and an integer, got {n!r}")
     rows = [corpus.row(author_id) for author_id in author_ids]
     counts = corpus.counts
     idf = np.array([math.log(len(corpus) / df) for df in counts.getnnz(axis=0).tolist()])

@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _read_text, _select
+from .corpus import Corpus, Vocabulary, _check_one_of, _positive_int, _read_text, _seed, _select
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -328,11 +327,11 @@ def cluster_subprofiles(
     per distinct row shared by all 20 restarts: at most n² × 8 bytes (1.6 MB
     at 450 documents).
     """
-    if k_per_class < 1:
-        raise ValueError("k_per_class must be a positive integer")
+    if not _positive_int(k_per_class):
+        raise ValueError(f"k_per_class must be a positive integer, got {k_per_class!r}")
+    rng = np.random.default_rng(_seed(seed))
     _require_nonempty(train, vocab)
     X = _row_l2_normalize(count_matrix(train, vocab)).toarray()
-    rng = np.random.default_rng(seed % (2**63))
     mapping: dict[str, int] = {}
     labels: list[str] = []
     for cat in train.categories(task):
@@ -449,27 +448,6 @@ _FLOAT_SPEC = ".17g"
 
 def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_SPEC)
-
-
-# Config checks shared by every config object: JSON gives ints, floats and
-# bools, and a bool is an int to Python.
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _positive_int(value) -> bool:
-    return _integer(value) and value > 0
-
-
-def _finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_one_of(name: str, value, allowed: tuple):
-    """``value``, if it is one of ``allowed``; ``ValueError`` otherwise."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-    return value
 
 
 @functools.lru_cache(maxsize=16)

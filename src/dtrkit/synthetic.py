@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import AuthorDoc, Corpus
+from .corpus import AuthorDoc, Corpus, _integer, _seed
 
 __all__ = ["make_synthetic_corpus"]
 
@@ -25,9 +25,9 @@ def make_synthetic_corpus(
     authors use; the rest of every document is drawn from a shared
     background vocabulary.  Deterministic for a fixed seed.
     """
-    if n_categories < 2:
-        raise ValueError("need at least two categories")
-    rng = np.random.default_rng(seed % (2**63))
+    if not (_integer(n_categories) and n_categories >= 2):
+        raise ValueError(f"need at least two categories, got n_categories={n_categories!r}")
+    rng = np.random.default_rng(_seed(seed))
     shared = [f"w{i:03d}" for i in range(shared_terms)]
     docs = []
     for c in range(n_categories):

@@ -11,13 +11,16 @@ from dtrkit.embeddings import nearest_neighbors, project_embeddings, train_skipg
 from dtrkit.evaluation import (
     CollectionStats,
     EvalReport,
+    FoldResult,
     accuracy,
+    attach_significance,
     collection_stats,
     correlation_map,
     cross_validate,
     reports_to_accuracy_csv,
     stratified_kfold,
     top_terms_tfidf,
+    wilcoxon_signed_rank,
 )
 from dtrkit.representations import TermMatrix, build_dor, cluster_subprofiles
 from dtrkit.synthetic import make_synthetic_corpus
@@ -121,6 +124,118 @@ REFUSALS = [
 def test_refusal_names_the_fault(call, message, tmp_path):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tmp_path)
+
+
+SVM_DATA = (np.array([[0.0], [1.0]]), ["a", "b"])
+
+
+def scored(accuracies):
+    folds = [FoldResult(i, {}, acc, 1) for i, acc in enumerate(accuracies)]
+    return EvalReport("dor", "cat", len(folds), 0, folds, float(np.mean(accuracies)))
+
+
+# A bool, a fraction or a number out of range where a count, a seed, a
+# tolerance or a significance level belongs: each is refused by the shared
+# argument rules in dtrkit.corpus, and the message names the value.
+BAD_ARGUMENTS = [
+    (
+        "build_vocabulary max_terms",
+        lambda v: build_vocabulary(corpus(), max_terms=v),
+        "max_terms must be a positive integer",
+        [True, 2.5],
+    ),
+    (
+        "cluster_subprofiles k_per_class",
+        lambda v: cluster_subprofiles(corpus(), "cat", vocab(), k_per_class=v),
+        "k_per_class must be a positive integer",
+        [True, 2.5],
+    ),
+    (
+        "top_terms_tfidf n",
+        lambda v: top_terms_tfidf(corpus(), ["doc000"], n=v),
+        "n must be non-negative",
+        [True, 2.5],
+    ),
+    (
+        "nearest_neighbors k",
+        lambda v: nearest_neighbors(TermMatrix("EMBEDDING", ["a", "b"], np.ones((2, 2))), "a", v),
+        "k must be a positive integer",
+        [True, 2.5],
+    ),
+    # C is a real number, so 2.5 is a valid C.
+    ("train_linear_svm C", lambda v: train_linear_svm(*SVM_DATA, C=v), "C must be", [True]),
+    (
+        "train_linear_svm max_epochs",
+        lambda v: train_linear_svm(*SVM_DATA, max_epochs=v),
+        "max_epochs must be",
+        [True, 2.5],
+    ),
+    # tol is a real number, so 2.5 is a valid tol.
+    (
+        "train_linear_svm tol",
+        lambda v: train_linear_svm(*SVM_DATA, tol=v),
+        "tol must be a finite positive number",
+        [True, float("nan"), -1.0],
+    ),
+    (
+        "make_synthetic_corpus n_categories",
+        lambda v: make_synthetic_corpus(n_categories=v, authors_per_category=2),
+        "need at least two categories",
+        [True, 2.5],
+    ),
+    (
+        "stratified_kfold seed",
+        lambda v: stratified_kfold(["a", "b", "a"], k=2, seed=v),
+        "seed must be an integer",
+        [True, 2.5],
+    ),
+    (
+        "cross_validate seed",
+        lambda v: cross_validate(make_synthetic_corpus(authors_per_category=2), "topic", k=2, seed=v),
+        "seed must be an integer",
+        [True, 2.5],
+    ),
+    (
+        "cluster_subprofiles seed",
+        lambda v: cluster_subprofiles(corpus(), "cat", vocab(), seed=v),
+        "seed must be an integer",
+        [True, 2.5],
+    ),
+    (
+        "train_skipgram seed",
+        lambda v: train_skipgram(corpus(), vocab(), seed=v),
+        "seed must be an integer",
+        [True, 2.5],
+    ),
+    (
+        "make_synthetic_corpus seed",
+        lambda v: make_synthetic_corpus(authors_per_category=2, seed=v),
+        "seed must be an integer",
+        [True, 2.5],
+    ),
+    (
+        "wilcoxon_signed_rank alpha",
+        lambda v: wilcoxon_signed_rank([1.0] * 5, [0.0] * 5, alpha=v),
+        "alpha must be a number in (0, 1)",
+        [True, 2.5],
+    ),
+    (
+        "attach_significance alpha",
+        lambda v: attach_significance(scored([1.0] * 5), {"bow": scored([0.5] * 5)}, alpha=v),
+        "alpha must be a number in (0, 1)",
+        [True, 2.5],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message, value",
+    [(call, message, v) for _, call, message, values in BAD_ARGUMENTS for v in values],
+    ids=[f"{name}={v!r}" for name, _, _, values in BAD_ARGUMENTS for v in values],
+)
+def test_bad_argument_is_refused_by_name_and_value(call, message, value):
+    with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(repr(value))):
+        call(value)
 
 
 def test_a_single_sample_may_be_one_row_or_a_1d_vector():
