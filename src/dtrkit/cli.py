@@ -11,10 +11,14 @@ import sys
 from pathlib import Path
 
 from . import embeddings, evaluation, representations
-from .corpus import CORPUS_FORMATS, DEFAULT_MAX_TERMS, _finite_real, _integer, _read_text
+from .corpus import CORPUS_FORMATS, DEFAULT_CORPUS_FORMAT, DEFAULT_MAX_TERMS
+from .corpus import _finite_real, _integer, _read_text
 from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
+    DEFAULT_ALPHA,
+    DEFAULT_FOLDS,
+    DEFAULT_TOP_TERMS,
     ClfConfig,
     RepConfig,
     _csv_table,
@@ -66,24 +70,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     char = sub.add_parser("characterize", help="collection characteristics per task")
     char.add_argument("--corpus", required=True)
-    char.add_argument("--format", choices=CORPUS_FORMATS)
+    char.add_argument("--format", choices=CORPUS_FORMATS, default=DEFAULT_CORPUS_FORMAT)
     char.add_argument("--task", help="task to characterize (default: all)")
     char.add_argument("--out", help="write the characteristics CSV here")
     char.set_defaults(func=_cmd_characterize)
 
     top = sub.add_parser("top-terms", help="discriminative authors and their tf-idf words")
     top.add_argument("--corpus", required=True)
-    top.add_argument("--format", choices=CORPUS_FORMATS)
+    top.add_argument("--format", choices=CORPUS_FORMATS, default=DEFAULT_CORPUS_FORMAT)
     top.add_argument("--task", required=True)
     top.add_argument("--count", type=_int_at_least(0), default=3, help="authors per category")
-    top.add_argument("--words", type=_int_at_least(0), default=10, help="tf-idf words per author")
+    top.add_argument(
+        "--words", type=_int_at_least(0), default=DEFAULT_TOP_TERMS, help="tf-idf words per author"
+    )
     top.add_argument("--max-terms", type=_int_at_least(1), default=DEFAULT_MAX_TERMS)
     top.add_argument("--out", help="write the report CSV here")
     top.set_defaults(func=_cmd_top_terms)
 
     emb = sub.add_parser("embed-train", help="train skip-gram vectors on a corpus")
     emb.add_argument("--corpus", required=True)
-    emb.add_argument("--format", choices=CORPUS_FORMATS)
+    emb.add_argument("--format", choices=CORPUS_FORMATS, default=DEFAULT_CORPUS_FORMAT)
     emb.add_argument("--out", required=True, help="output vectors file (word2vec text)")
     emb.add_argument("--seed", type=int, required=True)
     emb.add_argument("--dim", type=int)
@@ -126,8 +132,6 @@ def main(argv=None) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-_DEFAULT_EVALUATION = {"folds": 10, "alpha": 0.05}
-
 
 def _load_run_config(args) -> dict:
     cfg: dict = {}
@@ -148,7 +152,7 @@ def _load_run_config(args) -> dict:
     if args.corpus:
         name = _default_corpus_name(args.corpus)
         cfg["corpora"] = [
-            {"name": name, "path": args.corpus, "format": args.format or "jsonl"}
+            {"name": name, "path": args.corpus, "format": args.format or DEFAULT_CORPUS_FORMAT}
         ]
     if args.task:
         cfg["tasks"] = [args.task]
@@ -187,7 +191,8 @@ def _load_run_config(args) -> dict:
     cfg.setdefault("output_dir", "reports")
     if not isinstance(cfg.get("evaluation", {}), dict):
         raise ConfigError("'evaluation' must be a JSON object")
-    cfg["evaluation"] = {**_DEFAULT_EVALUATION, **cfg.get("evaluation", {})}
+    defaults = {"folds": DEFAULT_FOLDS, "alpha": DEFAULT_ALPHA}
+    cfg["evaluation"] = {**defaults, **cfg.get("evaluation", {})}
     folds, alpha = cfg["evaluation"]["folds"], cfg["evaluation"]["alpha"]
     if not (_integer(folds) and folds >= 2):
         raise ConfigError(f"evaluation folds must be an integer >= 2, got {folds!r}")
@@ -327,7 +332,7 @@ def _require_corpus(args):
     path = Path(args.corpus)
     if not path.exists():
         raise ConfigError(f"corpus path does not exist: {path}")
-    return load_corpus(path, args.format) if args.format else load_corpus(path)
+    return load_corpus(path, args.format)
 
 
 def _cmd_characterize(args) -> int:

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TERMS = 10_000  # vocabulary size unless a caller sets max_terms
+DEFAULT_CORPUS_FORMAT = "jsonl"  # what load_corpus reads unless a caller sets format
 
 
 # The argument rules every module shares: JSON gives ints, floats and bools,
@@ -288,7 +289,7 @@ def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return matrix
 
 
-def load_corpus(path, format: str = "jsonl") -> Corpus:
+def load_corpus(path, format: str = DEFAULT_CORPUS_FORMAT) -> Corpus:
     """Load a labeled author corpus.
 
     ``pan-dir``: a directory holding ``truth.txt`` with

@@ -44,6 +44,11 @@ REP_KINDS = ("bow", "dor", "tcor", "ssr", "w2v-train", "w2v-pretrained")
 
 CHARACTERISTICS = ("ttr", "ld", "sx", "shortness", "imbalance", "hardness")
 
+# Defaults of the evaluation, which ``dtrkit run`` and ``top-terms`` also read.
+DEFAULT_FOLDS = 10
+DEFAULT_ALPHA = 0.05
+DEFAULT_TOP_TERMS = 10  # terms listed per author by top_terms_tfidf
+
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
@@ -102,7 +107,7 @@ class ClfConfig:
 # ---------------------------------------------------------------------------
 
 
-def stratified_kfold(labels, k: int = 10, seed: int = 0) -> list[list[int]]:
+def stratified_kfold(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> list[list[int]]:
     """Disjoint test-index folds with per-category counts differing by <= 1.
 
     Categories smaller than ``k`` are spread round-robin (some folds simply
@@ -224,42 +229,31 @@ def _pretrained_vectors(corpus: Corpus, path) -> tuple[list[str], np.ndarray]:
     return [words[i] for i in rows], matrix[rows]
 
 
-# The term-matrix builder of each kind but ``bow``, called as
-# ``builder(train, task, vocab, rep, fold_seed, vectors)``.  Each looks its
-# function up when it runs, so a function rebound in its module is the one called.
-_TERM_MATRIX_BUILDERS = {
-    "dor": lambda train, task, vocab, rep, seed, vectors: representations.build_dor(train, vocab),
-    "tcor": lambda train, task, vocab, rep, seed, vectors: representations.build_tcor(
-        train, vocab, idf_mode=rep.tcor_idf
-    ),
-    "ssr": lambda train, task, vocab, rep, seed, vectors: representations.build_ssr(
-        train, vocab, representations.cluster_subprofiles(train, task, vocab, rep.k_per_class, seed)
-    ),
-    "w2v-train": lambda train, task, vocab, rep, seed, vectors: embeddings.train_skipgram(
-        train, vocab, rep.embedding, seed=seed
-    ),
-    "w2v-pretrained": lambda train, task, vocab, rep, seed, vectors: embeddings.project_embeddings(
-        *vectors, vocab, source=rep.pretrained_path
-    ),
-}
-
-
-def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors, matrices):
-    """The training and test features of one fold.  Its term matrix is dropped
-    once both sides are aggregated, unless ``matrices`` is a list to keep it in
-    (``None`` for ``bow``)."""
+def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
+    """``(term matrix, x_train, x_test)`` of one fold; the term matrix is
+    ``None`` for ``bow``.  Each builder is looked up in its module when it
+    runs, so a function rebound there is the one called."""
     if rep.kind == "bow":
         idf = classifier.compute_idf(train, vocab) if clf.bow_weighting == "tfidf" else None
-        tm = None
-        x_train = classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf)
-        x_test = classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf)
-    else:
-        tm = _TERM_MATRIX_BUILDERS[rep.kind](train, task, vocab, rep, fold_seed, vectors)
-        x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
-        x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
-    if matrices is not None:
-        matrices.append(tm)
-    return x_train, x_test
+        return (
+            None,
+            classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf),
+            classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf),
+        )
+    if rep.kind == "dor":
+        tm = representations.build_dor(train, vocab)
+    elif rep.kind == "tcor":
+        tm = representations.build_tcor(train, vocab, idf_mode=rep.tcor_idf)
+    elif rep.kind == "ssr":
+        groups = representations.cluster_subprofiles(train, task, vocab, rep.k_per_class, fold_seed)
+        tm = representations.build_ssr(train, vocab, groups)
+    elif rep.kind == "w2v-train":
+        tm = embeddings.train_skipgram(train, vocab, rep.embedding, seed=fold_seed)
+    else:  # w2v-pretrained
+        tm = embeddings.project_embeddings(*vectors, vocab, source=rep.pretrained_path)
+    x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
+    x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
+    return tm, x_train, x_test
 
 
 def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | None) -> list:
@@ -281,7 +275,7 @@ def cross_validate(
     task: str,
     rep: RepConfig | None = None,
     clf: ClfConfig | None = None,
-    k: int = 10,
+    k: int = DEFAULT_FOLDS,
     seed: int = 0,
     corpus_name: str | None = None,
     keep_fold_matrices: bool = False,
@@ -312,9 +306,10 @@ def cross_validate(
     matrices = [] if keep_fold_matrices else None
     for fold_idx, (vocab, train, test) in enumerate(corpus._folds[1]):
         fold_seed = _fold_seed(seed, fold_idx)
-        x_train, x_test = _fold_features(
-            train, test, task, vocab, rep, clf, fold_seed, vectors, matrices
-        )
+        tm, x_train, x_test = _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors)
+        if keep_fold_matrices:
+            matrices.append(tm)
+        del tm  # dropped once both sides are aggregated, before the SVM trains
         model = classifier.train_linear_svm(
             x_train,
             train.labels(task),
@@ -346,7 +341,7 @@ def cross_validate(
 
 
 def attach_significance(
-    report: EvalReport, baselines: dict[str, EvalReport], alpha: float = 0.05
+    report: EvalReport, baselines: dict[str, EvalReport], alpha: float = DEFAULT_ALPHA
 ) -> EvalReport:
     """Paired fold-accuracy signed-rank tests against named baseline reports."""
     for name, base in baselines.items():
@@ -412,7 +407,9 @@ def _normal_two_sided_p(ranks: np.ndarray, w: float, n: int) -> float:
     return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
 
-def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_threshold: int = 20) -> WilcoxonResult:
+def wilcoxon_signed_rank(
+    a, b, alpha: float = DEFAULT_ALPHA, exact_threshold: int = 20
+) -> WilcoxonResult:
     """Two-sided paired signed-rank test on the differences a[i] - b[i].
 
     Zero differences are dropped and |differences| are ranked with average
@@ -424,6 +421,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_threshold: int = 20) -
     """
     if not (_finite_real(alpha) and 0 < alpha < 1):
         raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    if not (_integer(exact_threshold) and exact_threshold >= 0):
+        raise ValueError(f"exact_threshold must be a non-negative integer, got {exact_threshold!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -572,7 +571,7 @@ def correlation_map_to_csv(table: dict[str, dict[str, float]]) -> str:
 
 
 def top_terms_tfidf(
-    corpus: Corpus, author_ids, n: int = 10, stopwords=None
+    corpus: Corpus, author_ids, n: int = DEFAULT_TOP_TERMS, stopwords=None
 ) -> list[list[tuple[str, float]]]:
     """The top-n terms by tf-idf over the corpus of each author in ``author_ids``.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import AuthorDoc, Corpus, _integer, _seed
+from .corpus import AuthorDoc, Corpus, _finite_real, _integer, _positive_int, _seed
 
 __all__ = ["make_synthetic_corpus"]
 
@@ -23,10 +23,24 @@ def make_synthetic_corpus(
 
     Each category owns ``exclusive_terms`` topical words that only its
     authors use; the rest of every document is drawn from a shared
-    background vocabulary.  Deterministic for a fixed seed.
+    background vocabulary.  Deterministic for a fixed seed.  The four counts
+    must be positive integers and ``topical_fraction`` a number in [0, 1].
     """
     if not (_integer(n_categories) and n_categories >= 2):
         raise ValueError(f"need at least two categories, got n_categories={n_categories!r}")
+    counts = {
+        "authors_per_category": authors_per_category,
+        "exclusive_terms": exclusive_terms,
+        "shared_terms": shared_terms,
+        "tokens_per_doc": tokens_per_doc,
+    }
+    for name, value in counts.items():
+        if not _positive_int(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if not (_finite_real(topical_fraction) and 0 <= topical_fraction <= 1):
+        raise ValueError(
+            f"topical_fraction must be a finite number in [0, 1], got {topical_fraction!r}"
+        )
     rng = np.random.default_rng(_seed(seed))
     shared = [f"w{i:03d}" for i in range(shared_terms)]
     docs = []

@@ -12,7 +12,6 @@ import pytest
 from dtrkit import classifier, evaluation, representations
 from dtrkit.corpus import AuthorDoc, Corpus, load_corpus, save_jsonl
 from dtrkit.evaluation import (
-    REP_KINDS,
     ClfConfig,
     EvalReport,
     FoldResult,
@@ -843,7 +842,7 @@ class TestFoldLifetime:
     """``cross_validate`` holds one fold's term matrix, features and model at
     a time, unless it is asked to keep the term matrices."""
 
-    KINDS = ("dor", "tcor")
+    KINDS = ("dor", "tcor", "ssr")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_nothing_of_a_fold_is_alive_when_the_next_one_builds(self, monkeypatch, kind):
@@ -902,9 +901,6 @@ class TestFoldLifetime:
 
 
 class TestRepConfig:
-    def test_every_kind_but_bow_has_a_term_matrix_builder(self):
-        assert set(evaluation._TERM_MATRIX_BUILDERS) == set(REP_KINDS) - {"bow"}
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             RepConfig(kind="lda")

@@ -184,6 +184,36 @@ BAD_ARGUMENTS = [
         [True, 2.5],
     ),
     (
+        "make_synthetic_corpus authors_per_category",
+        lambda v: make_synthetic_corpus(authors_per_category=v),
+        "authors_per_category must be a positive integer",
+        [True, 0, 2.5],
+    ),
+    (
+        "make_synthetic_corpus exclusive_terms",
+        lambda v: make_synthetic_corpus(authors_per_category=2, exclusive_terms=v),
+        "exclusive_terms must be a positive integer",
+        [True, 0, 2.5],
+    ),
+    (
+        "make_synthetic_corpus shared_terms",
+        lambda v: make_synthetic_corpus(authors_per_category=2, shared_terms=v),
+        "shared_terms must be a positive integer",
+        [True, -3, 2.5],
+    ),
+    (
+        "make_synthetic_corpus tokens_per_doc",
+        lambda v: make_synthetic_corpus(authors_per_category=2, tokens_per_doc=v),
+        "tokens_per_doc must be a positive integer",
+        [True, 0, 2.5],
+    ),
+    (
+        "make_synthetic_corpus topical_fraction",
+        lambda v: make_synthetic_corpus(authors_per_category=2, topical_fraction=v),
+        "topical_fraction must be a finite number in [0, 1]",
+        [True, float("nan"), -0.5, 1.5],
+    ),
+    (
         "stratified_kfold seed",
         lambda v: stratified_kfold(["a", "b", "a"], k=2, seed=v),
         "seed must be an integer",
@@ -218,6 +248,12 @@ BAD_ARGUMENTS = [
         lambda v: wilcoxon_signed_rank([1.0] * 5, [0.0] * 5, alpha=v),
         "alpha must be a number in (0, 1)",
         [True, 2.5],
+    ),
+    (
+        "wilcoxon_signed_rank exact_threshold",
+        lambda v: wilcoxon_signed_rank([1.0] * 5, [0.0] * 5, exact_threshold=v),
+        "exact_threshold must be a non-negative integer",
+        [True, 2.5, -1, "x"],
     ),
     (
         "attach_significance alpha",

@@ -9,10 +9,12 @@ directory.  In each checkout, that checkout's own ``perfbench/workloads.py``
 (imported, never edited) generates the long-docs, many-authors and
 embeddings inputs at each seed: the corpus, the run config and, for
 embeddings, the pretrained vectors file.  Then ``dtrkit run`` and
-``dtrkit top-terms`` run on them as the benchmark runs them, and on the
-embeddings corpus ``dtrkit embed-train`` runs with no skip-gram flag.  Every
-command runs in a fresh interpreter with one BLAS thread, side A under one
-``PYTHONHASHSEED`` and side B under another.
+``dtrkit top-terms`` run on them as the benchmark runs them, and
+``dtrkit characterize`` writes each corpus's characteristics CSV.  On the
+embeddings corpus ``dtrkit embed-train`` runs with no skip-gram flag, and
+``dtrkit embed-neighbors`` queries its vectors file for the file's first
+word.  Every command runs in a fresh interpreter with one BLAS thread,
+side A under one ``PYTHONHASHSEED`` and side B under another.
 
 Every input, report, CSV, vectors file and captured stdout is then compared
 after each side's own directory is replaced by one placeholder.  The tool
@@ -55,6 +57,9 @@ commands = {
         "--count", str(spec["top_terms"]["count"]), "--words", str(spec["top_terms"]["words"]),
         "--out", str(out / "top_terms.csv"),
     ],
+    "characterize": [
+        "characterize", "--corpus", paths["corpus"], "--out", str(out / "characterize.csv"),
+    ],
 }
 if name == "embeddings":
     commands["embed-train"] = [
@@ -96,15 +101,28 @@ def _python(code: str, args: list[str], side: str, checkout: Path) -> str:
     return done.stdout
 
 
+def run_command(command: str, argv: list[str], side: str, checkout: Path, case: Path) -> None:
+    """Run one ``dtrkit`` command of ``checkout``; keep its stdout in ``case``."""
+    stdout = _python(MAIN, [json.dumps(argv)], side, checkout)
+    (case / f"{command}.stdout").write_text(stdout, encoding="utf-8")
+
+
 def run_side(side: str, checkout: Path, out: Path, seeds: list[int]) -> None:
     """Generate every workload at every seed in ``checkout`` and run the commands."""
     for name in WORKLOADS:
         for seed in seeds:
             case = out / f"{name}-{seed}"
             listing = _python(GENERATE, [name, str(seed), str(case)], side, checkout)
-            for command, argv in json.loads(listing).items():
-                stdout = _python(MAIN, [json.dumps(argv)], side, checkout)
-                (case / f"{command}.stdout").write_text(stdout, encoding="utf-8")
+            commands = json.loads(listing)
+            for command, argv in commands.items():
+                run_command(command, argv, side, checkout, case)
+            if "embed-train" in commands:
+                vectors = case / "embed_train.txt"
+                with vectors.open(encoding="utf-8") as lines:
+                    lines.readline()  # the "<count> <dim>" header
+                    term = lines.readline().split(" ", 1)[0]
+                argv = ["embed-neighbors", "--vectors", str(vectors), "--term", term]
+                run_command("embed-neighbors", argv, side, checkout, case)
 
 
 def differences(a: Path, b: Path) -> list[str]:
