@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run cross-validated experiments from a config file")
     run.add_argument("--config", help="JSON experiment config")
     run.add_argument("--corpus", help="corpus path (overrides the config)")
-    run.add_argument("--format", choices=CORPUS_FORMATS, help="corpus format override")
+    run.add_argument("--format", choices=CORPUS_FORMATS, help="format of --corpus")
     run.add_argument("--task", help="restrict to one task")
     run.add_argument("--rep", help="restrict to one representation kind")
     run.add_argument("--seed", type=int, help="seed override (mandatory somewhere)")
@@ -134,6 +134,11 @@ def main(argv=None) -> int:
 
 
 def _load_run_config(args) -> dict:
+    if args.format and not args.corpus:
+        raise ConfigError(
+            "--format is the format of --corpus and needs it; "
+            "a config's corpora give their own 'format'"
+        )
     cfg: dict = {}
     if args.config:
         path = Path(args.config)

@@ -11,7 +11,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -246,25 +246,47 @@ class Corpus:
         child.counts = _read_only(rows[:, keep])
         return child
 
-    def _over_vocabulary(self, indices, vocab: "Vocabulary") -> "Corpus":
+    def _over_vocabulary(self, indices, vocab: "Vocabulary", ids=None) -> "Corpus":
         """The documents at ``indices`` over the columns ``vocab.terms``, which are not
-        sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf."""
+        sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf.
+        ``ids[j]`` is the vocabulary column of corpus column ``j``, or -1 outside it;
+        without ``ids``, each corpus term is looked up in ``vocab.index`` once.
+
+        The child shares this corpus's documents and ``vocab.terms``; it owns
+        only its count matrix, which ``_select`` re-columns from a row slice
+        of :attr:`counts` that is dropped once it returns."""
+        if ids is None:
+            ids = _column_ids(self.terms, vocab)
         indices = list(indices)
         child = Corpus([self.docs[i] for i in indices], self.tasks)
-        child.terms, child.counts = vocab.terms, _select(self.counts[indices], self.terms, vocab)
+        child.terms, child.counts = vocab.terms, _select(self.counts[indices], ids, len(vocab))
         return child
 
 
-def _select(counts: sp.csr_matrix, terms: list[str], vocab: "Vocabulary") -> sp.csr_matrix:
-    """Read-only ``counts``, whose columns are ``terms``, over the columns ``vocab.terms``."""
-    ids = np.array([vocab.index.get(t, -1) for t in terms], dtype=np.int64)
-    present = np.flatnonzero(ids >= 0)
-    # Column j goes to vocabulary column ids[j], each count times 1.0.  The
-    # product leaves rows unsorted; the trip through CSC sorts them by counting.
-    select = sp.csr_matrix(
-        (np.ones(present.size), (present, ids[present])), shape=(len(terms), len(vocab))
+def _column_ids(terms: list[str], vocab: "Vocabulary") -> np.ndarray:
+    """The vocabulary column of each of ``terms``, -1 for a term outside
+    ``vocab``: one dict lookup per term, into one int64 array."""
+    return np.fromiter(map(vocab.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms))
+
+
+def _select(counts: sp.csr_matrix, ids: np.ndarray, width: int) -> sp.csr_matrix:
+    """Read-only ``counts`` re-columned: column ``j`` becomes column ``ids[j]``
+    of ``width``, and is dropped where ``ids[j]`` is -1.  ``ids`` sends no two
+    columns to one, so every count is moved, never summed.
+
+    Each entry's new column is gathered through ``ids``; the entries kept
+    stay in row order but not in column order, and the trip through CSC
+    sorts each row's indices by counting.  While it runs it holds, beside
+    the result, one int64 column id and one flag per entry of ``counts``
+    and two more copies of the kept entries (unsorted, then in CSC)."""
+    cols = ids[counts.indices]
+    keep = cols >= 0
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    moved = sp.csr_matrix(
+        (counts.data[keep], cols[keep], kept[counts.indptr]), shape=(counts.shape[0], width)
     )
-    return _read_only((counts @ select).tocsc().tocsr())
+    return _read_only(moved.tocsc().tocsr())
 
 
 def _check_names(author_id: str, labels: dict[str, str], tasks) -> None:
@@ -464,11 +486,20 @@ def build_vocabulary(corpus: Corpus, max_terms: int | None = DEFAULT_MAX_TERMS) 
     """
     if not corpus.docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    totals = np.asarray(corpus.counts.sum(axis=0)).ravel()
+    return _ranked_vocabulary(corpus.terms, totals, max_terms)[0]
+
+
+def _ranked_vocabulary(
+    terms: list[str], totals: np.ndarray, max_terms: int | None
+) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of the ``max_terms`` columns of highest ``totals`` among
+    those above 0, and their column ids in vocabulary order.  ``terms``, the
+    columns' names, is sorted, so a stable sort on -frequency breaks ties by term."""
     if not (max_terms is None or _positive_int(max_terms)):
         raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}")
-    totals = np.asarray(corpus.counts.sum(axis=0)).ravel()
-    # corpus.terms is sorted, so a stable sort on -frequency breaks ties by term.
-    ranked = np.argsort(-totals, kind="stable")[:max_terms]
-    terms = [corpus.terms[j] for j in ranked]
-    freq = {t: int(totals[j]) for t, j in zip(terms, ranked)}
-    return Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, freq=freq)
+    present = np.flatnonzero(totals)
+    ranked = present[np.argsort(-totals[present], kind="stable")][:max_terms]
+    kept = [terms[j] for j in ranked.tolist()]
+    freq = dict(zip(kept, totals[ranked].astype(np.int64).tolist()))
+    return Vocabulary(terms=kept, index=dict(zip(kept, range(len(kept)))), freq=freq), ranked

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifier, embeddings, representations
-from .corpus import DEFAULT_MAX_TERMS, Corpus, build_vocabulary
+from .corpus import DEFAULT_MAX_TERMS, Corpus, _ranked_vocabulary
 from .corpus import _check_one_of, _finite_real, _integer, _positive_int, _seed
 from .stopwords import default_stopwords
 
@@ -259,13 +259,25 @@ def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
 def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | None) -> list:
     """One ``(vocab, train, test)`` triple per fold of the ``(task, k, seed)``
     partition: the vocabulary of the fold's training documents and both sides
-    over it (never ``corpus``, which keeps the table)."""
+    over it (never ``corpus``, which keeps the table).
+
+    A fold's vocabulary ranks one column total of its training rows of
+    ``corpus.counts`` by ``build_vocabulary``'s rule, and both sides
+    re-column their rows of ``corpus.counts`` by the ranked column ids
+    (``corpus._select``), so no term string is looked up.  The table holds,
+    per fold, the vocabulary and the two sides' count matrices, which
+    together have the entries of the corpus's counts in vocabulary columns;
+    while a fold builds it also holds one float per document and one float
+    total and one int64 id per corpus term."""
     table = []
     for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
-        test_set = set(test_idx)
-        train_idx = [i for i in range(len(corpus.docs)) if i not in test_set]
-        vocab = build_vocabulary(corpus.subset(train_idx), max_terms)
-        sides = (corpus._over_vocabulary(idx, vocab) for idx in (train_idx, test_idx))
+        in_train = np.ones(len(corpus))
+        in_train[test_idx] = 0.0
+        train_idx = np.flatnonzero(in_train).tolist()
+        vocab, ranked = _ranked_vocabulary(corpus.terms, in_train @ corpus.counts, max_terms)
+        ids = np.full(len(corpus.terms), -1, dtype=np.int64)
+        ids[ranked] = np.arange(ranked.size)
+        sides = (corpus._over_vocabulary(idx, vocab, ids) for idx in (train_idx, test_idx))
         table.append((vocab, *sides))
     return table
 

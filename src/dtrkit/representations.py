@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _check_one_of, _positive_int, _read_text, _seed, _select
+from .corpus import Corpus, Vocabulary, _check_one_of, _column_ids, _positive_int, _read_text, _seed
+from .corpus import _select
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -114,10 +115,13 @@ class SubprofileAssignment:
 def count_matrix(corpus: Corpus, vocab: Vocabulary) -> sp.csr_matrix:
     """Read-only sparse ``(len(corpus), len(vocab))`` matrix of raw in-vocabulary token counts.
     A fold side, whose columns are ``vocab.terms``, gives its own ``counts``, which every
-    builder of the fold reads; any other corpus gets a new matrix on each call."""
+    builder of the fold reads, and holds nothing new.  Any other corpus gets a new
+    matrix on each call: one dict lookup per corpus term gives each column's
+    vocabulary id (one int64 per term), and ``_select`` re-columns ``corpus.counts``
+    by those ids."""
     if corpus.terms is vocab.terms:
         return corpus.counts
-    return _select(corpus.counts, corpus.terms, vocab)
+    return _select(corpus.counts, _column_ids(corpus.terms, vocab), len(vocab))
 
 
 def _require_nonempty(train: Corpus, vocab: Vocabulary) -> None:

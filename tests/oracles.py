@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the definitions directly (double loops,
-full enumeration) and never calls into the library's own computation paths.
+full enumeration) and never calls into the library's own computation paths,
+except ``naive_fold_table``: the earlier construction of a fold table, kept
+as the reference for the one that replaced it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from collections import Counter
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
 from scipy.stats import rankdata
 
 
@@ -426,6 +429,27 @@ def naive_sgns_batch(w_in, w_out, centers, contexts, negs, lr: float):
             new_in[centers[b]] += g * u
             loss -= math.log(sigma) if label else math.log(1.0 - sigma)
     return new_in, new_out, loss
+
+
+def naive_fold_table(corpus, folds: list[list[int]], max_terms):
+    """One ``(vocab, train counts, test counts)`` triple per test fold of
+    ``folds``: the vocabulary built from the subset corpus of the training
+    rows, and each side's rows of ``corpus.counts`` times a 0/1 matrix that
+    sends each corpus column to its vocabulary id, sorted through CSC."""
+    from dtrkit.corpus import build_vocabulary
+
+    table = []
+    for test_idx in folds:
+        train_idx = [i for i in range(len(corpus)) if i not in set(test_idx)]
+        vocab = build_vocabulary(corpus.subset(train_idx), max_terms)
+        ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
+        present = np.flatnonzero(ids >= 0)
+        select = sp.csr_matrix(
+            (np.ones(present.size), (present, ids[present])), shape=(len(ids), len(vocab))
+        )
+        sides = [(corpus.counts[idx] @ select).tocsc().tocsr() for idx in (train_idx, test_idx)]
+        table.append((vocab, *sides))
+    return table
 
 
 def naive_fmt_row(row) -> str:

@@ -239,6 +239,14 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_format_without_corpus_exits_2(self, tmp_path, synthetic_jsonl, capsys):
+        # The config's corpus is jsonl; the flag would have been ignored.
+        config, _ = write_config(tmp_path, synthetic_jsonl)
+        assert main(["run", "--config", str(config), "--format", "pan-dir"]) == 2
+        err = capsys.readouterr().err
+        assert "--format" in err and "--corpus" in err
+        assert not (tmp_path / "reports").exists()
+
     def test_repeated_corpus_name_exits_2(self, tmp_path, synthetic_jsonl, capsys):
         # Both files take the default name "corpus", so their reports would share file names.
         corpora = []

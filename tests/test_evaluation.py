@@ -731,11 +731,11 @@ class TestSharedFolds:
         from dtrkit import classifier, evaluation, representations
 
         vocab_calls = []
-        build_vocabulary = evaluation.build_vocabulary
+        ranked_vocabulary = evaluation._ranked_vocabulary
 
-        def counting_build_vocabulary(corpus, max_terms):
+        def counting_ranked_vocabulary(terms, totals, max_terms):
             vocab_calls.append(max_terms)
-            return build_vocabulary(corpus, max_terms)
+            return ranked_vocabulary(terms, totals, max_terms)
 
         matrices = []  # every count matrix handed out, kept alive so ids stay unique
         count_matrix = representations.count_matrix
@@ -744,7 +744,7 @@ class TestSharedFolds:
             matrices.append(count_matrix(corpus, vocab))
             return matrices[-1]
 
-        monkeypatch.setattr(evaluation, "build_vocabulary", counting_build_vocabulary)
+        monkeypatch.setattr(evaluation, "_ranked_vocabulary", counting_ranked_vocabulary)
         for module in (representations, classifier):
             monkeypatch.setattr(module, "count_matrix", recording_count_matrix)
         corpus = load_corpus(self.corpus_file(tmp_path))

@@ -1,6 +1,7 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
-read from it, stratified folds, SSR k-means, the SVM solver, and the SVM
-model, term-matrix and word2vec containers."""
+read from it, stratified folds and each fold's vocabulary and sides, SSR
+k-means, the SVM solver, and the SVM model, term-matrix and word2vec
+containers."""
 
 import json
 import math
@@ -20,7 +21,7 @@ from dtrkit import embeddings, representations
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
 from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, tokenize
 from dtrkit.embeddings import read_word2vec, save_embeddings
-from dtrkit.evaluation import collection_stats, stratified_kfold
+from dtrkit.evaluation import _fold_table, collection_stats, stratified_kfold
 from dtrkit.representations import (
     TERM_MATRIX_KINDS,
     TermMatrix,
@@ -33,6 +34,7 @@ from oracles import (
     naive_count_matrix,
     naive_counts,
     naive_fmt_row,
+    naive_fold_table,
     naive_imbalance_and_hardness,
     naive_kmeans,
     naive_read_word2vec,
@@ -276,6 +278,54 @@ def test_vocabulary_ranks_by_frequency_then_term(case):
     assert vocab.terms == ranked[:max_terms]
     assert vocab.freq == {t: freq[t] for t in vocab.terms}
     assert vocab.index == {t: i for i, t in enumerate(vocab.terms)}
+
+
+@st.composite
+def fold_table_cases(draw):
+    """Labelled token lists (empty documents included), a fold count, a seed
+    and a ``max_terms`` of 1, 2, none, or one above the number of terms."""
+    token_lists = draw(st.lists(st.lists(TOKENS, max_size=12), min_size=2, max_size=8))
+    n = len(token_lists)
+    labels = draw(st.lists(st.sampled_from("xy"), min_size=n, max_size=n))
+    above = len({token for tokens in token_lists for token in tokens}) + 1
+    max_terms = draw(st.sampled_from([1, 2, None, above]))
+    return token_lists, labels, draw(st.integers(2, n)), draw(st.integers(0, 2**32)), max_terms
+
+
+def read_only(matrix) -> bool:
+    return not any(a.flags.writeable for a in (matrix.data, matrix.indices, matrix.indptr))
+
+
+@settings(deadline=None)
+@given(fold_table_cases())
+# Leave-one-out: "d" is seen only in its test document, "a" and "b" tie in
+# one training fold, the test document "b c" holds no term of its fold's
+# one-term vocabulary, and the last document is empty.
+@example(([["a", "a", "b"], ["b", "c"], ["d"], []], list("xyxy"), 4, 0, 1))
+@example(([["a", "a", "b"], ["b", "c"], ["d"], []], list("xyxy"), 4, 0, None))
+def test_fold_table_equals_subset_vocabulary_and_selection_product(case):
+    token_lists, labels, k, seed, max_terms = case
+    docs = [
+        AuthorDoc(f"d{i}", " ".join(tokens), list(tokens), {"cat": label})
+        for i, (tokens, label) in enumerate(zip(token_lists, labels))
+    ]
+    corpus = Corpus(docs, frozenset({"cat"}))
+    got = _fold_table(corpus, "cat", k, seed, max_terms)
+    want = naive_fold_table(corpus, stratified_kfold(labels, k=k, seed=seed), max_terms)
+    assert len(got) == len(want) == k
+    for (vocab, *sides), (want_vocab, *want_sides) in zip(got, want):
+        same_vocabulary(vocab, want_vocab)
+        assert all(type(f) is int for f in vocab.freq.values())
+        for side, want_counts in zip(sides, want_sides):
+            assert side.terms is vocab.terms
+            counts = side.counts
+            assert counts.shape == want_counts.shape
+            for name in ("data", "indices", "indptr"):
+                array, want_array = getattr(counts, name), getattr(want_counts, name)
+                assert array.dtype == want_array.dtype, name
+                assert array.tobytes() == want_array.tobytes(), name
+            assert counts.has_sorted_indices and want_counts.has_sorted_indices
+            assert read_only(counts)
 
 
 # Every finite float, with the signed zero, the smallest subnormal and the

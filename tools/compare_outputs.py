@@ -10,7 +10,11 @@ directory.  In each checkout, that checkout's own ``perfbench/workloads.py``
 embeddings inputs at each seed: the corpus, the run config and, for
 embeddings, the pretrained vectors file.  Then ``dtrkit run`` and
 ``dtrkit top-terms`` run on them as the benchmark runs them, and
-``dtrkit characterize`` writes each corpus's characteristics CSV.  On the
+``dtrkit characterize`` writes each corpus's characteristics CSV.  Every
+workload's vocabulary is smaller than the default ``max_terms``, so ``run``
+also runs on a copy of the config that sets ``max_terms`` to
+``CUT_MAX_TERMS`` on every representation, and ``top-terms`` runs again
+with ``--max-terms CUT_MAX_TERMS``: folds whose vocabulary drops terms.  On the
 embeddings corpus ``dtrkit embed-train`` runs with no skip-gram flag, and
 ``dtrkit embed-neighbors`` queries its vectors file for the file's first
 word.  Every command runs in a fresh interpreter with one BLAS thread,
@@ -38,24 +42,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("long-docs", "many-authors", "embeddings")
 HASH_SEEDS = {"A": "1", "B": "2"}
+CUT_MAX_TERMS = 150  # below every workload's vocabulary size (about 200 to 1,000 terms)
 
-# Run in a fresh interpreter as ``python -c GENERATE CHECKOUT NAME SEED OUT``:
-# writes the workload's inputs into OUT through the checkout's own harness
-# and prints the argument lists of the commands to run on them.
+# Run in a fresh interpreter as ``python -c GENERATE CHECKOUT NAME SEED OUT CUT``:
+# writes the workload's inputs into OUT through the checkout's own harness,
+# plus a copy of the run config with ``max_terms`` CUT on every
+# representation, and prints the argument lists of the commands to run on them.
 GENERATE = """
 import json, sys
 from pathlib import Path
 checkout, name, seed, out = sys.argv[1], sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
+cut = sys.argv[5]
 sys.path.insert(0, str(Path(checkout) / "perfbench"))
 import workloads
 spec = workloads.WORKLOADS[name]
 paths = workloads.generate(workloads.import_dtrkit(), name, spec, seed, out / "inputs")
+config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
+for rep in config["representations"]:
+    rep["max_terms"] = int(cut)
+cut_config = out / "inputs" / "config_cut.json"
+cut_config.write_text(json.dumps(config, indent=2), encoding="utf-8")
+top_terms = [
+    "top-terms", "--corpus", paths["corpus"], "--task", workloads.TASK,
+    "--count", str(spec["top_terms"]["count"]), "--words", str(spec["top_terms"]["words"]),
+]
 commands = {
     "run": ["run", "--config", paths["config"], "--out", str(out / "reports")],
-    "top-terms": [
-        "top-terms", "--corpus", paths["corpus"], "--task", workloads.TASK,
-        "--count", str(spec["top_terms"]["count"]), "--words", str(spec["top_terms"]["words"]),
-        "--out", str(out / "top_terms.csv"),
+    "run-cut": ["run", "--config", str(cut_config), "--out", str(out / "reports_cut")],
+    "top-terms": [*top_terms, "--out", str(out / "top_terms.csv")],
+    "top-terms-cut": [
+        *top_terms, "--max-terms", cut, "--out", str(out / "top_terms_cut.csv"),
     ],
     "characterize": [
         "characterize", "--corpus", paths["corpus"], "--out", str(out / "characterize.csv"),
@@ -112,7 +128,8 @@ def run_side(side: str, checkout: Path, out: Path, seeds: list[int]) -> None:
     for name in WORKLOADS:
         for seed in seeds:
             case = out / f"{name}-{seed}"
-            listing = _python(GENERATE, [name, str(seed), str(case)], side, checkout)
+            args = [name, str(seed), str(case), str(CUT_MAX_TERMS)]
+            listing = _python(GENERATE, args, side, checkout)
             commands = json.loads(listing)
             for command, argv in commands.items():
                 run_command(command, argv, side, checkout, case)
