@@ -246,7 +246,9 @@ class Corpus:
         child.counts = _read_only(rows[:, keep])
         return child
 
-    def _over_vocabulary(self, indices, vocab: "Vocabulary", ids=None) -> "Corpus":
+    def _over_vocabulary(
+        self, indices, vocab: "Vocabulary", ids: np.ndarray | None = None
+    ) -> "Corpus":
         """The documents at ``indices`` over the columns ``vocab.terms``, which are not
         sorted and may be empty: not an input of build_vocabulary or top_terms_tfidf.
         ``ids[j]`` is the vocabulary column of corpus column ``j``, or -1 outside it;
@@ -277,16 +279,19 @@ def _select(counts: sp.csr_matrix, ids: np.ndarray, width: int) -> sp.csr_matrix
     Each entry's new column is gathered through ``ids``; the entries kept
     stay in row order but not in column order, and the trip through CSC
     sorts each row's indices by counting.  While it runs it holds, beside
-    the result, one int64 column id and one flag per entry of ``counts``
-    and two more copies of the kept entries (unsorted, then in CSC)."""
-    cols = ids[counts.indices]
+    ``counts`` and the result, at most two more copies of the kept entries,
+    with columns in the index dtype of ``counts`` (which holds every id
+    below ``width``)."""
+    cols = ids.astype(counts.indices.dtype)[counts.indices]
     keep = cols >= 0
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    kept = np.zeros(keep.size + 1, dtype=counts.indptr.dtype)
     np.cumsum(keep, out=kept[1:])
     moved = sp.csr_matrix(
         (counts.data[keep], cols[keep], kept[counts.indptr]), shape=(counts.shape[0], width)
     )
-    return _read_only(moved.tocsc().tocsr())
+    del cols, keep, kept  # freed before the sort trip makes its two copies
+    moved = moved.tocsc()
+    return _read_only(moved.tocsr())
 
 
 def _check_names(author_id: str, labels: dict[str, str], tasks) -> None:

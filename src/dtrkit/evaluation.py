@@ -263,12 +263,11 @@ def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | N
 
     A fold's vocabulary ranks one column total of its training rows of
     ``corpus.counts`` by ``build_vocabulary``'s rule, and both sides
-    re-column their rows of ``corpus.counts`` by the ranked column ids
-    (``corpus._select``), so no term string is looked up.  The table holds,
-    per fold, the vocabulary and the two sides' count matrices, which
-    together have the entries of the corpus's counts in vocabulary columns;
-    while a fold builds it also holds one float per document and one float
-    total and one int64 id per corpus term."""
+    re-column their rows of ``corpus.counts`` by the ranked column ids, so
+    no term string is looked up.  The table holds, per fold, the vocabulary
+    and both sides' count matrices (together, the corpus's in-vocabulary
+    counts); a fold in the making also holds one float per document and a
+    float total and an int64 id per corpus term."""
     table = []
     for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
         in_train = np.ones(len(corpus))
