@@ -440,7 +440,8 @@ def naive_fold_table(corpus, folds: list[list[int]], max_terms):
 
     table = []
     for test_idx in folds:
-        train_idx = [i for i in range(len(corpus)) if i not in set(test_idx)]
+        test_set = set(test_idx)
+        train_idx = [i for i in range(len(corpus)) if i not in test_set]
         vocab = build_vocabulary(corpus.subset(train_idx), max_terms)
         ids = np.array([vocab.index.get(t, -1) for t in corpus.terms], dtype=np.int64)
         present = np.flatnonzero(ids >= 0)
