@@ -161,6 +161,8 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.tasks = frozenset(self.tasks)
+        for task in sorted(self.tasks, key=repr):
+            _check_task_name(task)
         self._folds: tuple | None = None  # evaluation.cross_validate's latest fold table
         self._rows: dict[str, int] = {}
         tasks = sorted(self.tasks)
@@ -237,13 +239,16 @@ class Corpus:
 
     def subset(self, indices) -> "Corpus":
         """The documents at ``indices``; their count rows are sliced from this
-        corpus and emptied columns dropped, so ``terms`` stays their own."""
+        corpus and re-columned by ``_select`` with the emptied columns
+        dropped, so ``terms`` stays their own."""
         indices = list(indices)
         child = Corpus([self.docs[i] for i in indices], self.tasks)
         rows = self.counts[indices]
         keep = np.flatnonzero(rows.getnnz(axis=0))
+        ids = np.full(len(self.terms), -1, dtype=np.int64)
+        ids[keep] = np.arange(keep.size)
         child.terms = [self.terms[j] for j in keep]
-        child.counts = _read_only(rows[:, keep])
+        child.counts = _select(rows, ids, keep.size)
         return child
 
     def _over_vocabulary(
@@ -292,6 +297,17 @@ def _select(counts: sp.csr_matrix, ids: np.ndarray, width: int) -> sp.csr_matrix
     del cols, keep, kept  # freed before the sort trip makes its two copies
     moved = moved.tocsc()
     return _read_only(moved.tocsr())
+
+
+def _check_task_name(task) -> None:
+    """Refuse a task that ``save_jsonl`` cannot write as a key of its own
+    beside ``author_id`` and ``text``: a non-string, an empty or multi-line
+    string, or one of those two keys."""
+    if not isinstance(task, str) or task.splitlines() != [task] or task in ("author_id", "text"):
+        raise ValueError(
+            "task names must be non-empty single-line strings other than "
+            f"'author_id' and 'text', got {task!r}"
+        )
 
 
 def _check_names(author_id: str, labels: dict[str, str], tasks) -> None:

@@ -2,8 +2,9 @@
 
 Everything here is written against the definitions directly (double loops,
 full enumeration) and never calls into the library's own computation paths,
-except ``naive_fold_table``: the earlier construction of a fold table, kept
-as the reference for the one that replaced it.
+except ``naive_fold_table`` and ``naive_synthetic_corpus``: the earlier
+construction of a fold table and the earlier per-token generator loop, kept
+as the references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -498,3 +499,47 @@ def naive_read_word2vec(path) -> tuple[list[str], np.ndarray]:
     if len(words) != count:
         raise ValueError(f"{path}: header announces {count} vectors, file has {len(words)}")
     return words, np.asarray(rows, dtype=np.float64).reshape(len(words), dim)
+
+
+def naive_token_draws(rng, n_tokens: int, topical_fraction: float, n_topical: int, n_shared: int):
+    """``(topical, index)`` lists of ``n_tokens`` tokens, one scalar
+    ``random()`` call and then one scalar ``integers(n)`` call per token."""
+    topical, index = [], []
+    for _ in range(n_tokens):
+        topical.append(rng.random() < topical_fraction)
+        index.append(int(rng.integers(n_topical if topical[-1] else n_shared)))
+    return topical, index
+
+
+def naive_synthetic_corpus(
+    n_categories: int,
+    authors_per_category: int,
+    exclusive_terms: int,
+    shared_terms: int,
+    tokens_per_doc: int,
+    topical_fraction: float,
+    task: str,
+    seed: int,
+):
+    """``make_synthetic_corpus`` as it drew each token before: a scalar
+    ``random()`` call and a scalar ``integers(n)`` call per token."""
+    from dtrkit.corpus import AuthorDoc, Corpus
+
+    rng = np.random.default_rng(seed % (2**63))
+    shared = [f"w{i:03d}" for i in range(shared_terms)]
+    docs = []
+    for c in range(n_categories):
+        cat = f"cat{c}"
+        topical = [f"{cat}x{j:02d}" for j in range(exclusive_terms)]
+        for a in range(authors_per_category):
+            words = []
+            for _ in range(tokens_per_doc):
+                if rng.random() < topical_fraction:
+                    words.append(topical[int(rng.integers(len(topical)))])
+                else:
+                    words.append(shared[int(rng.integers(len(shared)))])
+            docs.append(
+                AuthorDoc.from_text(f"{cat}a{a:03d}", " ".join(words), {task: cat})
+            )
+    docs.sort(key=lambda d: d.author_id)
+    return Corpus(docs, frozenset({task}))

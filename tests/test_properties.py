@@ -233,7 +233,10 @@ def test_subset_equals_fresh_corpus(case):
     sub = full.subset(idx)
     fresh = corpus_of(token_lists, idx)
     assert sub.terms == fresh.terms
-    np.testing.assert_array_equal(sub.counts.toarray(), fresh.counts.toarray())
+    assert sub.counts.shape == fresh.counts.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(sub.counts, name), getattr(fresh.counts, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     vocab = build_vocabulary(sub, max_terms)
     same_vocabulary(vocab, build_vocabulary(fresh, max_terms))

@@ -134,6 +134,8 @@ def scored(accuracies):
     return EvalReport("dor", "cat", len(folds), 0, folds, float(np.mean(accuracies)))
 
 
+BAD_TASKS = ["text", "author_id", "", "a\nb", "a\rb", 5, None]
+
 # A bool, a fraction or a number out of range where a count, a seed, a
 # tolerance or a significance level belongs: each is refused by the shared
 # argument rules in dtrkit.corpus, and the message names the value.
@@ -236,6 +238,19 @@ BAD_ARGUMENTS = [
         lambda v: train_skipgram(corpus(), vocab(), seed=v),
         "seed must be an integer",
         [True, 2.5],
+    ),
+    # save_jsonl writes each task as a key beside author_id and text.
+    (
+        "Corpus tasks",
+        lambda v: Corpus([], frozenset({"topic", v})),
+        "task names must be non-empty single-line strings other than 'author_id' and 'text'",
+        BAD_TASKS,
+    ),
+    (
+        "make_synthetic_corpus task",
+        lambda v: make_synthetic_corpus(authors_per_category=2, task=v),
+        "task names must be non-empty single-line strings",
+        BAD_TASKS,
     ),
     (
         "make_synthetic_corpus seed",
