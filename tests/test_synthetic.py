@@ -30,8 +30,13 @@ SEEDS = st.integers(-(2**64), 2**64)
 @example(2, 2, 30, 120, 150, 0.0, -1)
 @example(2, 2, 30, 120, 150, 1.0, 2**63 + 5)
 def test_corpus_equals_the_scalar_loop(
-    n_categories, authors_per_category, exclusive_terms, shared_terms, tokens_per_doc,
-    topical_fraction, seed,
+    n_categories,
+    authors_per_category,
+    exclusive_terms,
+    shared_terms,
+    tokens_per_doc,
+    topical_fraction,
+    seed,
 ):
     shape = (n_categories, authors_per_category, exclusive_terms, shared_terms, tokens_per_doc)
     got = make_synthetic_corpus(*shape, topical_fraction, "topic", seed)
