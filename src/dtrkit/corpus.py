@@ -167,15 +167,15 @@ class Corpus:
         self._rows: dict[str, int] = {}
         tasks = sorted(self.tasks)
         for row, doc in enumerate(self.docs):
-            if doc.author_id in self._rows:
-                raise ValueError(f"duplicate author_id {doc.author_id!r}")
-            self._rows[doc.author_id] = row
             missing = self.tasks - doc.labels.keys()
             if missing:
                 raise ValueError(
                     f"author {doc.author_id!r} is missing labels for tasks {sorted(missing)}"
                 )
             _check_names(doc.author_id, doc.labels, tasks)
+            if doc.author_id in self._rows:
+                raise ValueError(f"duplicate author_id {doc.author_id!r}")
+            self._rows[doc.author_id] = row
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -311,17 +311,17 @@ def _check_task_name(task) -> None:
 
 
 def _check_names(author_id: str, labels: dict[str, str], tasks) -> None:
-    """Refuse an author id, or its label for one of ``tasks``, that is empty
-    or spans lines.  Text containers write one id per line, and SSR names its
-    features "category/cluster", one per line."""
-    if author_id.splitlines() != [author_id]:
-        raise ValueError(f"author_id {author_id!r} must be non-empty and single-line")
+    """Refuse an author id, or its label for one of ``tasks``, that is not a
+    string, is empty or spans lines.  Text containers write one id per line,
+    and SSR names its features "category/cluster", one per line."""
+    if not isinstance(author_id, str) or author_id.splitlines() != [author_id]:
+        raise ValueError(f"author_id {author_id!r} must be non-empty and single-line text")
     for task in tasks:
         label = labels[task]
-        if label.splitlines() != [label]:
+        if not isinstance(label, str) or label.splitlines() != [label]:
             raise ValueError(
                 f"author {author_id!r} has label {label!r} for task {task!r}; "
-                "labels must be non-empty and single-line"
+                "labels must be non-empty and single-line text"
             )
 
 
@@ -474,12 +474,14 @@ def _name_value(value, key: str, where: str) -> str:
 
 
 def save_jsonl(corpus: Corpus, path) -> None:
-    """Write a corpus in the jsonl interchange layout (one record per author)."""
+    """Write a corpus in the jsonl interchange layout: one record per author
+    with its ``author_id``, ``text`` and label for each of the corpus's
+    tasks.  A label whose key is not a task is not written."""
+    tasks = sorted(corpus.tasks)
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus.docs:
             record = {"author_id": doc.author_id, "text": doc.text}
-            for task in sorted(doc.labels):
-                record[task] = doc.labels[task]
+            record.update((task, doc.labels[task]) for task in tasks)
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 

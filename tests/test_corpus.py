@@ -174,6 +174,27 @@ class TestLoadJsonl:
         save_jsonl(corpus, path)
         assert load_corpus(path, "jsonl") == corpus
 
+    @pytest.mark.parametrize("extra", [{"text": "y"}, {"author_id": "c"}, {"age": "30"}])
+    def test_only_task_labels_are_written(self, tmp_path, extra):
+        # A label whose key is not a task stays out of the file, even one
+        # named like a record key or set on the first document only.
+        docs = [
+            AuthorDoc.from_text("a", "hello world", {"topic": "x", **extra}),
+            AuthorDoc.from_text("b", "bye", {"topic": "z"}),
+        ]
+        path = tmp_path / "c.jsonl"
+        save_jsonl(Corpus(docs, frozenset({"topic"})), path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"author_id": "a", "text": "hello world", "topic": "x"}\n'
+            '{"author_id": "b", "text": "bye", "topic": "z"}\n'
+        )
+        loaded = load_corpus(path, "jsonl")
+        assert loaded.tasks == frozenset({"topic"})
+        assert [(d.author_id, d.text, d.labels) for d in loaded.docs] == [
+            ("a", "hello world", {"topic": "x"}),
+            ("b", "bye", {"topic": "z"}),
+        ]
+
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         # save_jsonl writes these unescaped; only "\n", "\r" and "\r\n" end a line.
         doc = AuthorDoc.from_text("a", "x\u2028y\u2029z\x85w\x0cv", {"t": "p"})
@@ -203,6 +224,21 @@ class TestLoadJsonl:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: author_id {author_id!r}")):
             load_corpus(path, "jsonl")
+
+    @pytest.mark.parametrize("author_id", [5, None, 2.5, b"a", ["a"]])
+    def test_non_string_author_id_refused_in_code(self, author_id):
+        # The loaders pass strings; a corpus built in code may not.
+        doc = AuthorDoc.from_text(author_id, "a text", {"gender": "f"})
+        message = f"author_id {author_id!r} must be non-empty and single-line text"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Corpus([doc], frozenset({"gender"}))
+
+    @pytest.mark.parametrize("label", [1, None, 2.5, b"f", ["f"]])
+    def test_non_string_label_refused_in_code(self, label):
+        doc = AuthorDoc.from_text("a1", "a text", {"gender": label})
+        message = f"author 'a1' has label {label!r} for task 'gender'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Corpus([doc], frozenset({"gender"}))
 
     @pytest.mark.parametrize(
         "label",

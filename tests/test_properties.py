@@ -1,7 +1,7 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
 read from it, stratified folds and each fold's vocabulary and sides, SSR
-k-means, the SVM solver, and the SVM model, term-matrix and word2vec
-containers."""
+k-means, the SVM solver, the SVM model, term-matrix and word2vec
+containers, and the jsonl corpus file."""
 
 import json
 import math
@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 from dtrkit import embeddings, representations
 from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
-from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, tokenize
+from dtrkit.corpus import (
+    AuthorDoc,
+    Corpus,
+    Vocabulary,
+    build_vocabulary,
+    load_corpus,
+    save_jsonl,
+    tokenize,
+)
 from dtrkit.embeddings import read_word2vec, save_embeddings
 from dtrkit.evaluation import _fold_table, collection_stats, stratified_kfold
 from dtrkit.representations import (
@@ -484,6 +492,34 @@ def test_word2vec_round_trips_bit_for_bit(tm):
         words, matrix = read_word2vec(path)
     assert words == tm.terms
     assert same_bits(matrix, tm.matrix)
+
+
+@st.composite
+def jsonl_corpora(draw):
+    """Corpora of any texts UTF-8 encodes (``st.text`` draws no lone
+    surrogate), with ids, tasks and labels that ``Corpus`` takes."""
+    task_names = IDS.filter(lambda t: t not in ("author_id", "text"))
+    tasks = draw(st.lists(task_names, max_size=2, unique=True))
+    ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    docs = [AuthorDoc.from_text(a, draw(TEXTS), {t: draw(IDS) for t in tasks}) for a in ids]
+    return Corpus(docs, frozenset(tasks))
+
+
+@settings(deadline=None)
+@given(jsonl_corpora())
+def test_jsonl_round_trips_documents_and_counts(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_jsonl(corpus, path)
+        back = load_corpus(path, "jsonl")
+    want = Corpus(sorted(corpus.docs, key=lambda d: d.author_id), corpus.tasks)
+    assert back.tasks == want.tasks
+    assert back.docs == want.docs  # ids, texts, tokens and labels
+    assert back.terms == want.terms
+    assert back.counts.shape == want.counts.shape
+    for name in ("data", "indices", "indptr"):
+        got, expected = getattr(back.counts, name), getattr(want.counts, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 def floats_by_bits(code: str, size: int):
