@@ -104,8 +104,8 @@ def _draw_tokens(
     no bits) or ``2**32`` or more (which numpy draws another way).  A
     rejection has probability ``(2**32 % n) / 2**32`` per draw, so about
     ``n_tokens * (2**32 % n) / 2**32`` per document: 0.2% of 800-token
-    documents over 12,000 shared terms.  Such a document costs about 0.9 ms
-    at 500 tokens and 1.5 ms at 800, against about 0.04 ms vectorised.  The
+    documents over 12,000 shared terms.  Such a document costs about 1 ms at
+    500 tokens and 2 ms at 800, against about 0.05 ms vectorised.  The
     arrays held grow with ``n_tokens``."""
     bitgen = rng.bit_generator
     if 2 <= min(n_topical, n_shared) and max(n_topical, n_shared) < 2**32:
