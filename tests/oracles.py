@@ -158,6 +158,89 @@ def naive_aggregate(
     return out
 
 
+def naive_ssr(
+    doc_tokens: list[list[str]],
+    subclasses: list[int],
+    n_subclasses: int,
+    vocab_terms: list[str],
+) -> np.ndarray:
+    """Term x subclass loop: document d adds log2(1 + count / len(tokens)) to
+    column ``subclasses[d]`` of each vocabulary term it holds; each column is
+    then scaled to sum to one, and then each row that is not all zero.  A
+    column of zero mass raises ``ValueError``."""
+    out = np.zeros((len(vocab_terms), n_subclasses))
+    for tokens, sub in zip(doc_tokens, subclasses):
+        for i, term in enumerate(vocab_terms):
+            count = tokens.count(term)
+            if count:
+                out[i, sub] += math.log2(1.0 + count / len(tokens))
+    for j in range(n_subclasses):
+        mass = out[:, j].sum()
+        if mass <= 0:
+            raise ValueError(f"subclass {j} has zero total weight")
+        out[:, j] /= mass
+    for i in range(len(vocab_terms)):
+        mass = out[i].sum()
+        if mass > 0:
+            out[i] /= mass
+    return out
+
+
+def naive_fold_features(
+    doc_tokens: list[list[str]],
+    folds: list[list[int]],
+    kind: str,
+    max_terms,
+    bow_weighting: str = "tf",
+    weighting: str = "mean",
+    tcor_idf: str = "feature-term",
+    subclasses: list[dict[int, int]] | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dense ``(train features, test features)`` of each test fold of
+    ``folds``, from the token lists by the definitions.
+
+    A fold's vocabulary is a ``Counter`` of its training tokens, the
+    ``max_terms`` most frequent first, ties by term.  ``bow`` is the count
+    table over it (``tf``), its presence flags (``boolean``), or the counts
+    times the training idf ln(n / df), 0 where df is 0, with each row scaled
+    to unit length (``tfidf``).  ``dor``, ``tcor`` and ``ssr`` aggregate the
+    training side's term matrix over both sides with ``weighting``; for
+    ``ssr``, ``subclasses[f]`` maps each training row of fold ``f`` to its
+    subclass, numbered from 0."""
+    out = []
+    for f, test_idx in enumerate(folds):
+        held_out = set(test_idx)
+        train_idx = [i for i in range(len(doc_tokens)) if i not in held_out]
+        train = [doc_tokens[i] for i in train_idx]
+        test = [doc_tokens[i] for i in test_idx]
+        freq = Counter(token for tokens in train for token in tokens)
+        terms = sorted(freq, key=lambda term: (-freq[term], term))[:max_terms]
+        if kind == "bow":
+            sides = [naive_count_matrix(side, terms) for side in (train, test)]
+            if bow_weighting == "boolean":
+                sides = [(side > 0).astype(np.float64) for side in sides]
+            elif bow_weighting == "tfidf":
+                df = (sides[0] > 0).sum(axis=0)
+                idf = np.array([math.log(len(train) / d) if d else 0.0 for d in df])
+                sides = [side * idf for side in sides]
+                for side in sides:
+                    for row in side:
+                        norm = math.sqrt(sum(v * v for v in row))
+                        if norm > 0:
+                            row /= norm
+            out.append(tuple(sides))
+            continue
+        if kind == "dor":
+            rows = naive_dor(train, terms)
+        elif kind == "tcor":
+            rows = naive_tcor(train, terms, tcor_idf)
+        else:
+            subs = [subclasses[f][i] for i in train_idx]
+            rows = naive_ssr(train, subs, max(subs) + 1, terms)
+        out.append(tuple(naive_aggregate(side, terms, rows, weighting) for side in (train, test)))
+    return out
+
+
 def naive_dual_cd(X, y: np.ndarray, C: float, rng, tol: float, max_epochs: int):
     """Squared-hinge dual coordinate descent, one sparse row of ``X`` per step.
 

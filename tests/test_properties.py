@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtrkit import embeddings, representations
-from dtrkit.classifier import SvmModel, load_svm_model, save_svm_model, train_linear_svm
+from dtrkit import classifier, embeddings, representations
+from dtrkit.classifier import BOW_WEIGHTINGS, SvmModel, load_svm_model, save_svm_model, train_linear_svm
 from dtrkit.corpus import (
     AuthorDoc,
     Corpus,
@@ -29,8 +29,17 @@ from dtrkit.corpus import (
     tokenize,
 )
 from dtrkit.embeddings import read_word2vec, save_embeddings
-from dtrkit.evaluation import _fold_table, collection_stats, stratified_kfold
+from dtrkit.evaluation import (
+    ClfConfig,
+    RepConfig,
+    _fold_table,
+    collection_stats,
+    cross_validate,
+    stratified_kfold,
+)
 from dtrkit.representations import (
+    AGG_WEIGHTINGS,
+    TCOR_IDF_MODES,
     TERM_MATRIX_KINDS,
     TermMatrix,
     count_matrix,
@@ -42,6 +51,7 @@ from oracles import (
     naive_count_matrix,
     naive_counts,
     naive_fmt_row,
+    naive_fold_features,
     naive_fold_table,
     naive_imbalance_and_hardness,
     naive_kmeans,
@@ -337,6 +347,80 @@ def test_fold_table_equals_subset_vocabulary_and_selection_product(case):
                 assert array.tobytes() == want_array.tobytes(), name
             assert counts.has_sorted_indices and want_counts.has_sorted_indices
             assert read_only(counts)
+
+
+@st.composite
+def fold_feature_cases(draw):
+    """Labelled token lists (no empty document), one representation with its
+    knobs, a BoW weighting, a fold count and a seed."""
+    drawn = draw(st.lists(st.lists(TOKENS, min_size=1, max_size=8), min_size=2, max_size=8))
+    token_lists = [tokenize(" ".join(tokens)) for tokens in drawn]
+    n = len(token_lists)
+    labels = draw(st.lists(st.sampled_from("xy"), min_size=n, max_size=n))
+    rep = RepConfig(
+        kind=draw(st.sampled_from(["bow", "dor", "tcor", "ssr"])),
+        max_terms=draw(st.sampled_from([1, 2, None])),
+        weighting=draw(st.sampled_from(AGG_WEIGHTINGS)),
+        k_per_class=draw(st.integers(1, 3)),
+        tcor_idf=draw(st.sampled_from(TCOR_IDF_MODES)),
+    )
+    clf = ClfConfig(bow_weighting=draw(st.sampled_from(BOW_WEIGHTINGS)))
+    return token_lists, labels, rep, clf, draw(st.integers(2, n)), draw(st.integers(0, 2**32))
+
+
+def dense(x) -> np.ndarray:
+    return x.toarray() if sp.issparse(x) else np.asarray(x)
+
+
+@pytest.mark.filterwarnings("ignore:.*(vocabulary terms|in-vocabulary tokens)")
+@settings(deadline=None)
+@given(fold_feature_cases())
+def test_fold_features_match_naive_fold_features(case):
+    # The arrays cross_validate hands the SVM, fold by fold, against the
+    # definitions applied to the token lists; SSR's subclasses are the ones
+    # the fold's clustering chose.
+    token_lists, labels, rep, clf, k, seed = case
+    docs = [
+        AuthorDoc.from_text(f"d{i}", " ".join(tokens), {"cat": label})
+        for i, (tokens, label) in enumerate(zip(token_lists, labels))
+    ]
+    corpus = Corpus(docs, frozenset({"cat"}))
+    seen, groups = [], []
+    cluster = representations.cluster_subprofiles
+
+    def train(x, y, **kwargs):
+        seen.append([dense(x)])
+
+    def predict(model, x):
+        seen[-1].append(dense(x))
+        return [labels[0]] * x.shape[0]
+
+    def clustered(*args, **kwargs):
+        groups.append(cluster(*args, **kwargs))
+        return groups[-1]
+
+    with (
+        mock.patch.object(classifier, "train_linear_svm", train),
+        mock.patch.object(classifier, "predict", predict),
+        mock.patch.object(representations, "cluster_subprofiles", clustered),
+    ):
+        try:
+            cross_validate(corpus, "cat", rep, clf, k=k, seed=seed)
+            refused = False
+        except ValueError as exc:  # an SSR subclass of documents without vocabulary terms
+            assert rep.kind == "ssr" and "zero total weight" in str(exc)
+            refused = True
+    folds = stratified_kfold(labels, k=k, seed=seed)
+    subclasses = [{int(a[1:]): sub for a, sub in g.mapping.items()} for g in groups]
+    knobs = (rep.kind, rep.max_terms, clf.bow_weighting, rep.weighting, rep.tcor_idf, subclasses)
+    want = naive_fold_features(token_lists, folds[: len(seen)], *knobs)
+    assert len(seen) == (len(folds) if not refused else len(groups) - 1)
+    for got_sides, want_sides in zip(seen, want):
+        for got, expected in zip(got_sides, want_sides):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    if refused:
+        with pytest.raises(ValueError, match="zero total weight"):
+            naive_fold_features(token_lists, folds[: len(groups)], *knobs)
 
 
 # Every finite float, with the signed zero, the smallest subnormal and the
