@@ -135,20 +135,24 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class AuthorDoc:
-    """One author's concatenated posts plus one label per task."""
+    """One author's concatenated posts plus one label per task; a document is its text."""
 
     author_id: str
     text: str
-    tokens: list[str]
     labels: dict[str, str]
 
     @classmethod
     def from_text(cls, author_id: str, text: str, labels: dict[str, str]) -> "AuthorDoc":
-        return cls(author_id=author_id, text=text, tokens=tokenize(text), labels=dict(labels))
+        return cls(author_id=author_id, text=text, labels=dict(labels))
+
+    @property
+    def tokens(self) -> list[str]:
+        """``tokenize(text)``, computed anew on each read."""
+        return tokenize(self.text)
 
     @cached_property
     def counts(self) -> Counter:
-        """Token frequency table (cached; tokens are immutable by convention)."""
+        """Token frequency table (cached); kept only for the benchmark (ROADMAP item 2)."""
         return Counter(self.tokens)
 
 
@@ -214,27 +218,34 @@ class Corpus:
         indices: the one place a token string becomes a column; every
         document-side statistic slices it.
 
-        Built together with :attr:`terms` in one pass that maps every token
-        to its column, with no per-document table.  While it runs it holds,
-        beside the result, a few int64 arrays as long as the corpus's total
-        token count, plus one pointer per token for the column ids.
+        Built with :attr:`terms` in one pass that tokenizes each text and maps
+        every token to its column.  While it runs it holds every token list
+        until the column ids are taken, then a few int64 arrays as long as the
+        corpus's total token count.
         """
         self._count_tokens()
         return self.counts
 
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Each document's token count (int64): the row sums of :attr:`counts`, or, on a
+        corpus made by ``_over_vocabulary`` (its counts drop some tokens), its parent's."""
+        return np.asarray(self.counts.sum(axis=1), dtype=np.int64).ravel()
+
     def _count_tokens(self) -> None:
-        """Set :attr:`terms` and :attr:`counts` from the documents' tokens."""
+        """Set :attr:`terms` and :attr:`counts` from the texts, tokenized once here."""
         tokens = [doc.tokens for doc in self.docs]
         self.terms = sorted(set().union(*tokens))
         column = dict(zip(self.terms, range(len(self.terms))))
         cols = np.array(list(map(column.__getitem__, chain.from_iterable(tokens))), dtype=np.int64)
         rows = np.repeat(np.arange(len(tokens), dtype=np.int64), [len(t) for t in tokens])
+        del tokens  # freed before the count sort
         # Sorted (row, column) keys, each distinct pair once with its count.
         keys, counts = np.unique(rows * len(self.terms) + cols, return_counts=True)
         rows, cols = np.divmod(keys, max(len(self.terms), 1))
-        indptr = np.zeros(len(tokens) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(tokens)), out=indptr[1:])
-        shape = (len(tokens), len(self.terms))
+        indptr = np.zeros(len(self.docs) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self.docs)), out=indptr[1:])
+        shape = (len(self.docs), len(self.terms))
         self.counts = _read_only(sp.csr_matrix((counts.astype(np.float64), cols, indptr), shape))
 
     def subset(self, indices) -> "Corpus":
@@ -261,12 +272,13 @@ class Corpus:
 
         The child shares this corpus's documents and ``vocab.terms``; it owns
         only its count matrix, which ``_select`` re-columns from a row slice
-        of :attr:`counts` that is dropped once it returns."""
+        of :attr:`counts` that is dropped once it returns, and its :attr:`lengths`."""
         if ids is None:
             ids = _column_ids(self.terms, vocab)
         indices = list(indices)
         child = Corpus([self.docs[i] for i in indices], self.tasks)
         child.terms, child.counts = vocab.terms, _select(self.counts[indices], ids, len(vocab))
+        child.lengths = self.lengths[indices]
         return child
 
 
@@ -475,14 +487,19 @@ def _name_value(value, key: str, where: str) -> str:
 
 def save_jsonl(corpus: Corpus, path) -> None:
     """Write a corpus in the jsonl interchange layout: one record per author
-    with its ``author_id``, ``text`` and label for each of the corpus's
-    tasks.  A label whose key is not a task is not written."""
+    with its ``author_id``, ``text`` and label for each of the corpus's tasks
+    (no other label).  A field UTF-8 cannot encode is refused before the file opens."""
     tasks = sorted(corpus.tasks)
+    records = [{"author_id": d.author_id, "text": d.text} for d in corpus.docs]
+    for record, doc in zip(records, corpus.docs):
+        record.update((task, doc.labels[task]) for task in tasks)
+        for key, value in record.items():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"author {doc.author_id!r}: field {key!r} is not UTF-8") from None
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
-            record = {"author_id": doc.author_id, "text": doc.text}
-            record.update((task, doc.labels[task]) for task in tasks)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 
 
 @dataclass

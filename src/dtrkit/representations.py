@@ -360,8 +360,7 @@ def _raw_subclass_weights(
             raise ValueError(f"assignment does not cover author {doc.author_id!r}")
         indicator[i, sub] = 1.0
     counts = count_matrix(train, vocab)
-    lengths = np.array([max(len(doc.tokens), 1) for doc in train.docs], dtype=np.float64)
-    scaled = (sp.diags(1.0 / lengths) @ counts).tocsr()
+    scaled = (sp.diags(1.0 / np.maximum(train.lengths, 1)) @ counts).tocsr()
     scaled.data = np.log2(1.0 + scaled.data)
     # Column-major, so numpy sums each subclass's column over the |V| terms
     # pairwise, which is more accurate than a running sum row by row.

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from dtrkit.corpus import (
     save_jsonl,
     tokenize,
 )
+from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens
 
@@ -54,6 +57,24 @@ class TestTokenize:
         assert tokenize("\u0130stanbul") == ["i\u0307stanbul"]
         assert tokenize("Cafe\u0301!") == ["cafe\u0301", "!"]
         assert tokenize("\u20ac\u0301 :)") == ["\u20ac", "\u0301", ":", ")"]
+
+
+class TestAuthorDoc:
+    def test_a_document_is_its_text(self):
+        doc = AuthorDoc("a", "Hello there!", {"t": "x"})
+        assert doc == AuthorDoc.from_text("a", "Hello there!", {"t": "x"})
+        assert doc.tokens == ["hello", "there", "!"]
+        doc.tokens.append("extra")  # a new list on each read
+        assert doc.tokens == ["hello", "there", "!"]
+
+    def test_tokens_cannot_be_given_or_set(self):
+        # Tokens that disagree with the text would save as a different corpus.
+        with pytest.raises(TypeError):
+            AuthorDoc("a", "hello world", ["x", "y", "y"], {})
+        with pytest.raises(TypeError):
+            AuthorDoc(author_id="a", text="hello world", tokens=["x"], labels={})
+        with pytest.raises(AttributeError):
+            AuthorDoc("a", "hello world", {}).tokens = ["x"]
 
 
 class TestLoadPanDir:
@@ -291,6 +312,27 @@ class TestLoadJsonl:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         doc = load_corpus(path, "jsonl").docs[0]
         assert (doc.author_id, doc.labels) == ("17", {"age": "24.5"})
+
+
+class TestCorpusMemory:
+    def test_a_loaded_corpus_holds_under_20_bytes_per_token(self, tmp_path):
+        # Its texts and its count matrix; no token list is kept.
+        path = tmp_path / "corpus.jsonl"
+        save_jsonl(make_synthetic_corpus(authors_per_category=50, tokens_per_doc=500, seed=3), path)
+        tracing = tracemalloc.is_tracing()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            corpus.counts
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert corpus.counts.sum() == 50_000
+        assert held < 20 * 50_000, f"{held} bytes held, {held / 50_000:.1f} per token"
 
 
 class TestCorpusInvariants:

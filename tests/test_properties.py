@@ -66,8 +66,10 @@ TOKENS = st.text(alphabet="ab'€:)+\U0001F600", min_size=1, max_size=3)
 
 @st.composite
 def corpora(draw):
-    """Token lists (empty documents included) plus a non-empty row subset."""
-    token_lists = draw(st.lists(st.lists(TOKENS, max_size=12), min_size=1, max_size=8))
+    """Token lists (empty documents included), each what its text tokenizes
+    to, plus a non-empty row subset."""
+    drawn = draw(st.lists(st.lists(TOKENS, max_size=12), min_size=1, max_size=8))
+    token_lists = [tokenize(" ".join(tokens)) for tokens in drawn]
     idx = draw(st.permutations(range(len(token_lists))))
     idx = idx[: draw(st.integers(1, len(token_lists)))]
     max_terms = draw(st.none() | st.integers(1, 6))
@@ -76,11 +78,14 @@ def corpora(draw):
 
 def corpus_of(token_lists, rows=None):
     rows = range(len(token_lists)) if rows is None else rows
-    docs = [
-        AuthorDoc(f"d{i}", " ".join(token_lists[i]), list(token_lists[i]), {"cat": "x"})
-        for i in rows
-    ]
+    docs = [AuthorDoc(f"d{i}", " ".join(token_lists[i]), {"cat": "x"}) for i in rows]
     return Corpus(docs, frozenset({"cat"}))
+
+
+def same_lengths(corpus) -> None:
+    """``corpus.lengths`` counts every token of each document, in or out of its terms."""
+    assert corpus.lengths.dtype == np.int64
+    assert corpus.lengths.tolist() == [len(d.tokens) for d in corpus.docs]
 
 
 def same_vocabulary(a, b) -> None:
@@ -132,11 +137,10 @@ def test_tokenize_matches_naive_tokenize(text):
 
 @given(st.lists(st.tuples(st.lists(TOKENS, max_size=8), st.sampled_from("abc")), min_size=1))
 def test_category_figures_match_naive_sets(docs):
+    docs = [(tokenize(" ".join(t)), label) for t, label in docs]
     tokens, labels = [t for t, _ in docs], [label for _, label in docs]
-    corpus = Corpus(
-        [AuthorDoc(f"d{i}", "", t, {"cat": label}) for i, (t, label) in enumerate(docs)],
-        frozenset({"cat"}),
-    )
+    docs = [AuthorDoc(f"d{i}", " ".join(t), {"cat": lab}) for i, (t, lab) in enumerate(docs)]
+    corpus = Corpus(docs, frozenset({"cat"}))
     stats = collection_stats(corpus, "cat", stopwords=())
     assert (stats.imbalance, stats.hardness) == naive_imbalance_and_hardness(tokens, labels)
 
@@ -255,6 +259,7 @@ def test_subset_equals_fresh_corpus(case):
     for name in ("data", "indices", "indptr"):
         got, want = getattr(sub.counts, name), getattr(fresh.counts, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    same_lengths(sub)
 
     vocab = build_vocabulary(sub, max_terms)
     same_vocabulary(vocab, build_vocabulary(fresh, max_terms))
@@ -327,7 +332,7 @@ def read_only(matrix) -> bool:
 def test_fold_table_equals_subset_vocabulary_and_selection_product(case):
     token_lists, labels, k, seed, max_terms = case
     docs = [
-        AuthorDoc(f"d{i}", " ".join(tokens), list(tokens), {"cat": label})
+        AuthorDoc(f"d{i}", " ".join(tokens), {"cat": label})
         for i, (tokens, label) in enumerate(zip(token_lists, labels))
     ]
     corpus = Corpus(docs, frozenset({"cat"}))
@@ -347,6 +352,7 @@ def test_fold_table_equals_subset_vocabulary_and_selection_product(case):
                 assert array.tobytes() == want_array.tobytes(), name
             assert counts.has_sorted_indices and want_counts.has_sorted_indices
             assert read_only(counts)
+            same_lengths(side)
 
 
 @st.composite
@@ -598,7 +604,7 @@ def test_jsonl_round_trips_documents_and_counts(corpus):
         back = load_corpus(path, "jsonl")
     want = Corpus(sorted(corpus.docs, key=lambda d: d.author_id), corpus.tasks)
     assert back.tasks == want.tasks
-    assert back.docs == want.docs  # ids, texts, tokens and labels
+    assert back.docs == want.docs  # ids, texts and labels
     assert back.terms == want.terms
     assert back.counts.shape == want.counts.shape
     for name in ("data", "indices", "indptr"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtrkit.classifier import compute_idf, predict, train_linear_svm
-from dtrkit.corpus import Corpus, Vocabulary, build_vocabulary, load_corpus
+from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, load_corpus, save_jsonl
 from dtrkit.embeddings import nearest_neighbors, project_embeddings, train_skipgram
 from dtrkit.evaluation import (
     CollectionStats,
@@ -124,6 +124,36 @@ REFUSALS = [
 def test_refusal_names_the_fault(call, message, tmp_path):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tmp_path)
+
+
+def with_lone_surrogate(field):
+    """Two authors, the second with a lone surrogate in ``field``: its id,
+    its text or its label for task ``t``."""
+    second = {"author_id": "b", "text": "bye", "t": "y", field: "b\ud800"}
+    docs = [
+        AuthorDoc("a", "hello", {"t": "x"}),
+        AuthorDoc(second["author_id"], second["text"], {"t": second["t"]}),
+    ]
+    return Corpus(docs, frozenset({"t"}))
+
+
+# The author as the message names it, and the field.
+UNENCODABLE = [("'b\\ud800'", "author_id"), ("'b'", "text"), ("'b'", "t")]
+
+
+@pytest.mark.parametrize("author, field", UNENCODABLE, ids=[f for _, f in UNENCODABLE])
+@pytest.mark.parametrize(
+    "before", [None, '{"author_id": "z", "text": "", "t": "x"}\n'], ids=["no-file", "a-file"]
+)
+def test_save_jsonl_refuses_what_utf8_cannot_encode_before_writing(tmp_path, author, field, before):
+    # No partial file: the first record is not written, and a file already
+    # at the path is left as it was.
+    path = tmp_path / "c.jsonl"
+    if before is not None:
+        path.write_text(before, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"author {author}: field {field!r} is not UTF-8")):
+        save_jsonl(with_lone_surrogate(field), path)
+    assert (path.read_text(encoding="utf-8") if path.exists() else None) == before
 
 
 SVM_DATA = (np.array([[0.0], [1.0]]), ["a", "b"])
