@@ -266,8 +266,8 @@ def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | N
     re-column their rows of ``corpus.counts`` by the ranked column ids, so
     no term string is looked up.  The table holds, per fold, the vocabulary
     and both sides' count matrices (together, the corpus's in-vocabulary
-    counts); a fold in the making also holds one float per document and a
-    float total and an int64 id per corpus term."""
+    counts) and lengths; a fold in the making also holds one float per
+    document and a float total and an int64 id per corpus term."""
     table = []
     for test_idx in stratified_kfold(corpus.labels(task), k=k, seed=seed):
         in_train = np.ones(len(corpus))
