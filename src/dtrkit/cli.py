@@ -334,6 +334,10 @@ def _print_accuracy_table(task: str, by_corpus: dict[str, dict[str, float]]) -> 
 
 
 def _require_corpus(args):
+    """The corpus of ``--corpus``, loaded after ``--out`` is checked: a file
+    written at the end must have a directory to go to."""
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ConfigError(f"output directory not found: {Path(args.out).parent}")
     path = Path(args.corpus)
     if not path.exists():
         raise ConfigError(f"corpus path does not exist: {path}")

@@ -485,6 +485,16 @@ def _name_value(value, key: str, where: str) -> str:
     return str(value)
 
 
+def _check_utf8(text: str, what: str) -> None:
+    """Refuse ``text`` that UTF-8 cannot encode, such as a lone surrogate,
+    with a ``ValueError`` naming it as ``what``.  Writers call it before the
+    file opens, so that a refused write leaves no partial file."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} is not UTF-8") from None
+
+
 def save_jsonl(corpus: Corpus, path) -> None:
     """Write a corpus in the jsonl interchange layout: one record per author
     with its ``author_id``, ``text`` and label for each of the corpus's tasks
@@ -494,10 +504,7 @@ def save_jsonl(corpus: Corpus, path) -> None:
     for record, doc in zip(records, corpus.docs):
         record.update((task, doc.labels[task]) for task in tasks)
         for key, value in record.items():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"author {doc.author_id!r}: field {key!r} is not UTF-8") from None
+            _check_utf8(value, f"author {doc.author_id!r}: field {key!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 

@@ -9,7 +9,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary, _finite_real, _integer, _naming_bad_utf8, _positive_int, _seed
+from .corpus import Corpus, Vocabulary, _check_utf8, _finite_real, _integer, _naming_bad_utf8
+from .corpus import _positive_int, _seed
 from .representations import TermMatrix, _parse_row, _row_format
 
 __all__ = [
@@ -59,6 +60,12 @@ class EmbeddingConfig:
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` through the log form, which raises no overflow
+    warning at any finite ``x``."""
+    return np.exp(_log_sigmoid(x))
 
 
 def _epoch_stream(sentences, keep, window: int, rng):
@@ -127,10 +134,10 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     Row b pairs ``centers[b]`` with ``contexts[b]`` (label 1) and with each
     of ``negs[b]`` (label 0; a negative equal to the context has weight 0).
     Every gradient is taken at the parameters before the batch; they are
-    then added to ``w_out`` and ``w_in`` in row order.  Returns the batch's
-    summed loss.
+    then added to ``w_out`` and ``w_in`` in row order.  The sigmoid is
+    numpy's (:func:`_sigmoid`), so training loads no dense scipy module.
+    Returns the batch's summed loss.
     """
-    from scipy.special import expit  # not at import: older scipy.special loads scipy.linalg
     targets = np.concatenate((contexts[:, None], negs), axis=1)
     weight = np.concatenate((np.ones((len(contexts), 1)), negs != contexts[:, None]), axis=1)
     labels = np.zeros(targets.shape)
@@ -138,7 +145,7 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     v = w_in[centers]
     u = w_out[targets]
     scores = np.einsum("bd,bkd->bk", v, u)
-    grad = (labels - expit(scores)) * weight * lr
+    grad = (labels - _sigmoid(scores)) * weight * lr
     grad_in = np.einsum("bk,bkd->bd", grad, u)
     _scatter_add(w_out, targets, grad, v)
     _scatter_add(w_in, centers[:, None], np.ones((len(centers), 1)), grad_in)
@@ -226,14 +233,15 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     """Write vectors in the textual word2vec format: 'count dim' header, then
     one line per term (token followed by the vector values).  Refuses, before
     creating the file, what :func:`read_word2vec` would reject: zero
-    dimensions, a term that is empty or holds whitespace, or a vector that
-    holds NaN or infinity.  The text is written a line at a time; one
+    dimensions, a term that is empty, holds whitespace or is not UTF-8, or
+    a vector that holds NaN or infinity.  The text is written a line at a time; one
     line of it is held in memory."""
     if tm.dims < 1:
         raise ValueError(f"word2vec vectors need at least one dimension, got {tm.dims}")
     for term in tm.terms:
         if term.split() != [term]:
             raise ValueError(f"term {term!r} must be non-empty and free of whitespace")
+        _check_utf8(term, f"term {term!r}")
     bad = np.flatnonzero(~np.isfinite(tm.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"the vector of term {tm.terms[bad[0]]!r} holds a non-finite value")
@@ -331,7 +339,14 @@ def project_embeddings(words: list[str], matrix, vocab: Vocabulary, source) -> T
     Vocabulary terms missing from ``words`` get zero rows; the fraction found
     is reported in ``meta["coverage"]``.  A word listed twice keeps its first
     row.  ``source`` names where the vectors came from, in ``meta["source"]``.
+    A matrix that is not 2-d, or whose row count is not ``len(words)``, is
+    refused.
     """
+    if matrix.ndim != 2 or len(matrix) != len(words):
+        raise ValueError(
+            f"matrix must be 2-d with one row per word, got shape {matrix.shape} "
+            f"for {len(words)} words"
+        )
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     first = _first_rows(words)

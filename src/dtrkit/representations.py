@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary, _check_one_of, _column_ids, _positive_int, _read_text, _seed
-from .corpus import _select
+from .corpus import _check_utf8, _select
 
 __all__ = [
     "TERM_MATRIX_KINDS",
@@ -485,12 +485,13 @@ def _write_container(path, magic: str, header: dict, labels: list[str], rows) ->
     """Write the text container that term matrices and SVM models share: the
     ``magic`` line, one ``key value`` line per header field, one line per
     label, then one :func:`_fmt_row` line per row.  A label that would span
-    lines, or a row holding NaN or infinity, is refused before the file is
-    created.  ``rows`` is read twice, to check and to write; the text is
+    lines or that UTF-8 cannot encode, or a row holding NaN or infinity, is
+    refused before the file is created.  ``rows`` is read twice, to check and to write; the text is
     written a row at a time, so one row of it is held in memory."""
     for label in labels:
         if "".join(label.splitlines()) != label:
             raise ValueError(f"label {label!r} contains a line break")
+        _check_utf8(label, f"label {label!r}")
     for i, row in enumerate(rows):
         if not np.isfinite(row).all():
             raise ValueError(f"row {i} holds a non-finite value")

@@ -645,6 +645,25 @@ class TestTopTerms:
         assert flags[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["embed-train", "--seed", "3"], ["top-terms", "--task", "topic"], ["characterize"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("parent", ["absent", "a-file"])
+def test_out_in_a_missing_directory_exits_2_before_loading(tmp_path, command, parent, capsys):
+    # The corpus is malformed, so any loading would fail with exit 1.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n", encoding="utf-8")
+    if parent == "a-file":
+        (tmp_path / parent).write_text("", encoding="utf-8")
+    out = tmp_path / parent / "out.txt"
+    code = main([command[0], "--corpus", str(bad), "--out", str(out), *command[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: output directory not found: {out.parent}\n"
+    assert not out.exists()
+
+
 class TestEmbedCommands:
     def test_train_then_neighbors(self, tmp_path, synthetic_jsonl, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -669,16 +688,6 @@ class TestEmbedCommands:
         )
         assert code == 2
         assert not vectors.exists()
-
-    def test_unwritable_output_prints_whole_os_error(self, tmp_path, synthetic_jsonl, capsys):
-        vectors = tmp_path / "absent" / "vectors.txt"
-        code = main(
-            ["embed-train", "--corpus", str(synthetic_jsonl), "--out", str(vectors),
-             "--seed", "3", "--dim", "4", "--epochs", "1"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "No such file or directory" in err and str(vectors) in err
 
     def test_unknown_term_exits_2(self, tmp_path):
         vectors = tmp_path / "v.txt"

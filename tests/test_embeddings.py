@@ -1,6 +1,8 @@
+import math
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +222,41 @@ class TestSgnsStep:
         np.testing.assert_allclose(w_in, want_in, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w_out, want_out, rtol=0, atol=1e-12)
         assert loss == pytest.approx(want_loss, rel=1e-12)
+
+    def test_matches_oracle_at_scores_near_30(self, rng):
+        # Every center scores about +30 with contexts 0 and 2, about -30 with
+        # contexts 1 and 3, and about -30 with every negative (terms 4 and 5).
+        # A negative scoring high would leave the oracle's math.log(1 - sigma)
+        # few exact digits, which bounds how large these scores can be.
+        n_terms, dim, batch = 6, 4, 9
+        sign = np.array([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+        w_in = 2.7 + rng.normal(scale=0.01, size=(n_terms, dim))
+        w_out = sign[:, None] * (2.7 + rng.normal(scale=0.01, size=(n_terms, dim)))
+        centers = rng.integers(0, n_terms, size=batch)
+        contexts = np.arange(batch) % 4
+        negs = rng.integers(4, n_terms, size=(batch, 3))
+        scores = np.einsum("bd,bd->b", w_in[centers], w_out[contexts])
+        assert 29 < scores.max() < 31 and -31 < scores.min() < -29
+        want_in, want_out, want_loss = naive_sgns_batch(w_in, w_out, centers, contexts, negs, 0.1)
+        loss = embeddings._sgns_step(w_in, w_out, centers, contexts, negs, 0.1)
+        np.testing.assert_allclose(w_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_out, want_out, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+
+    def test_sigmoid_matches_math_reference_without_warning(self):
+        def sigmoid(x):  # exp of a negative number only, so math.exp never overflows
+            if x >= 0:
+                return 1.0 / (1.0 + math.exp(-x))
+            e = math.exp(x)
+            return e / (1.0 + e)
+
+        x = np.linspace(-745.0, 745.0, 149_001)  # a step of 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = embeddings._sigmoid(x)
+        want = np.array([sigmoid(v) for v in x.tolist()])
+        assert want.min() > 0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestWord2vecFormat:

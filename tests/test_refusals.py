@@ -7,7 +7,7 @@ import pytest
 
 from dtrkit.classifier import compute_idf, predict, train_linear_svm
 from dtrkit.corpus import AuthorDoc, Corpus, Vocabulary, build_vocabulary, load_corpus, save_jsonl
-from dtrkit.embeddings import nearest_neighbors, project_embeddings, train_skipgram
+from dtrkit.embeddings import nearest_neighbors, project_embeddings, save_embeddings, train_skipgram
 from dtrkit.evaluation import (
     CollectionStats,
     EvalReport,
@@ -22,7 +22,7 @@ from dtrkit.evaluation import (
     top_terms_tfidf,
     wilcoxon_signed_rank,
 )
-from dtrkit.representations import TermMatrix, build_dor, cluster_subprofiles
+from dtrkit.representations import TermMatrix, build_dor, cluster_subprofiles, save_term_matrix
 from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens
@@ -72,6 +72,18 @@ REFUSALS = [
     # embeddings
     (lambda _: train_skipgram(EMPTY, vocab()), "corpus is empty"),
     (lambda _: project_embeddings(["a"], np.ones((1, 2)), NO_TERMS, "v"), "vocabulary is empty"),
+    (
+        lambda _: project_embeddings(["a", "b"], np.ones(2), vocab(), "v"),
+        "matrix must be 2-d with one row per word, got shape (2,) for 2 words",
+    ),
+    (
+        lambda _: project_embeddings(["a", "b", "c"], np.ones((2, 2)), vocab(), "v"),
+        "matrix must be 2-d with one row per word, got shape (2, 2) for 3 words",
+    ),
+    (
+        lambda _: project_embeddings(["a"], np.ones((2, 2)), vocab(), "v"),
+        "matrix must be 2-d with one row per word, got shape (2, 2) for 1 words",
+    ),
     (
         lambda _: nearest_neighbors(TermMatrix("EMBEDDING", ["a"], np.ones((1, 2))), "a", 0),
         "k must be a positive integer",
@@ -153,6 +165,46 @@ def test_save_jsonl_refuses_what_utf8_cannot_encode_before_writing(tmp_path, aut
         path.write_text(before, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"author {author}: field {field!r} is not UTF-8")):
         save_jsonl(with_lone_surrogate(field), path)
+    assert (path.read_text(encoding="utf-8") if path.exists() else None) == before
+
+
+# Each writer with a lone surrogate in a term or a feature name, and the
+# refusal that names it.
+UNENCODABLE_WRITES = [
+    (
+        "save_term_matrix term",
+        lambda path: save_term_matrix(TermMatrix("DOR", ["a", "b\ud800"], np.ones((2, 1))), path),
+        "label 'b\\ud800' is not UTF-8",
+    ),
+    (
+        "save_term_matrix feature",
+        lambda path: save_term_matrix(
+            TermMatrix("DOR", ["a", "b"], np.ones((2, 2)), feature_names=["x", "b\ud800"]), path
+        ),
+        "label 'b\\ud800' is not UTF-8",
+    ),
+    (
+        "save_embeddings term",
+        lambda path: save_embeddings(
+            TermMatrix("EMBEDDING", ["a", "b\ud800"], np.ones((2, 1))), path
+        ),
+        "term 'b\\ud800' is not UTF-8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [(write, message) for _, write, message in UNENCODABLE_WRITES],
+    ids=[name for name, _, _ in UNENCODABLE_WRITES],
+)
+@pytest.mark.parametrize("before", [None, "kept\n"], ids=["no-file", "a-file"])
+def test_writers_refuse_what_utf8_cannot_encode_before_writing(tmp_path, write, message, before):
+    path = tmp_path / "out.txt"
+    if before is not None:
+        path.write_text(before, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(path)
     assert (path.read_text(encoding="utf-8") if path.exists() else None) == before
 
 
