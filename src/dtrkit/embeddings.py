@@ -234,14 +234,14 @@ def save_embeddings(tm: TermMatrix, path) -> None:
     one line per term (token followed by the vector values).  Refuses, before
     creating the file, what :func:`read_word2vec` would reject: zero
     dimensions, a term that is empty, holds whitespace or is not UTF-8, or
-    a vector that holds NaN or infinity.  The text is written a line at a time; one
-    line of it is held in memory."""
+    a vector that holds NaN or infinity.  The text is written a line at a
+    time; one line of it is held in memory."""
     if tm.dims < 1:
         raise ValueError(f"word2vec vectors need at least one dimension, got {tm.dims}")
     for term in tm.terms:
         if term.split() != [term]:
             raise ValueError(f"term {term!r} must be non-empty and free of whitespace")
-        _check_utf8(term, f"term {term!r}")
+    _check_utf8(tm.terms, lambda i: f"term {tm.terms[i]!r}")
     bad = np.flatnonzero(~np.isfinite(tm.matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"the vector of term {tm.terms[bad[0]]!r} holds a non-finite value")

@@ -486,12 +486,13 @@ def _write_container(path, magic: str, header: dict, labels: list[str], rows) ->
     ``magic`` line, one ``key value`` line per header field, one line per
     label, then one :func:`_fmt_row` line per row.  A label that would span
     lines or that UTF-8 cannot encode, or a row holding NaN or infinity, is
-    refused before the file is created.  ``rows`` is read twice, to check and to write; the text is
-    written a row at a time, so one row of it is held in memory."""
+    refused before the file is created.  ``rows`` is read twice, to check
+    and to write; the text is written a row at a time, so one row of it is
+    held in memory."""
     for label in labels:
         if "".join(label.splitlines()) != label:
             raise ValueError(f"label {label!r} contains a line break")
-        _check_utf8(label, f"label {label!r}")
+    _check_utf8(labels, lambda i: f"label {labels[i]!r}")
     for i, row in enumerate(rows):
         if not np.isfinite(row).all():
             raise ValueError(f"row {i} holds a non-finite value")
