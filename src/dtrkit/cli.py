@@ -335,9 +335,13 @@ def _print_accuracy_table(task: str, by_corpus: dict[str, dict[str, float]]) -> 
 
 def _require_corpus(args):
     """The corpus of ``--corpus``, loaded after ``--out`` is checked: a file
-    written at the end must have a directory to go to."""
-    if args.out is not None and not Path(args.out).parent.is_dir():
-        raise ConfigError(f"output directory not found: {Path(args.out).parent}")
+    written at the end must have a directory to go to and not be one."""
+    if args.out is not None:
+        out = Path(args.out)
+        if not out.parent.is_dir():
+            raise ConfigError(f"output directory not found: {out.parent}")
+        if out.is_dir():
+            raise ConfigError(f"--out names a directory: {out}")
     path = Path(args.corpus)
     if not path.exists():
         raise ConfigError(f"corpus path does not exist: {path}")

@@ -7,12 +7,11 @@ import math
 import numbers
 import re
 import unicodedata
-from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, groupby, repeat
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -486,17 +485,16 @@ def _name_value(value, key: str, where: str) -> str:
     return str(value)
 
 
-def _check_utf8(texts: list[str], name) -> None:
+def _check_utf8(texts, name) -> None:
     """Refuse the first of ``texts`` that UTF-8 cannot encode, such as a lone
     surrogate, with a ``ValueError`` in which ``name(i)`` names text ``i``.
-    The texts are encoded joined, once; only a refusal looks for the text at
-    fault.  Writers call it before the file opens, so that a refused write
-    leaves no partial file."""
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        ends = list(accumulate(map(len, texts)))
-        raise ValueError(f"{name(bisect_right(ends, exc.start))} is not UTF-8") from None
+    Writers call it before the file opens, so that a refused write leaves no
+    partial file."""
+    for i, text in enumerate(texts):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name(i)} is not UTF-8") from None
 
 
 def save_jsonl(corpus: Corpus, path) -> None:
@@ -507,8 +505,7 @@ def save_jsonl(corpus: Corpus, path) -> None:
     records = [{"author_id": d.author_id, "text": d.text} for d in corpus.docs]
     for record, doc in zip(records, corpus.docs):
         record.update((task, doc.labels[task]) for task in tasks)
-        keys = list(record)
-        _check_utf8(list(record.values()), lambda i: f"author {doc.author_id!r}: field {keys[i]!r}")
+        _check_utf8(record.values(), lambda i: f"author {doc.author_id!r}: field {list(record)[i]!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 

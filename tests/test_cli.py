@@ -650,18 +650,26 @@ class TestTopTerms:
     [["embed-train", "--seed", "3"], ["top-terms", "--task", "topic"], ["characterize"]],
     ids=lambda command: command[0],
 )
-@pytest.mark.parametrize("parent", ["absent", "a-file"])
-def test_out_in_a_missing_directory_exits_2_before_loading(tmp_path, command, parent, capsys):
+@pytest.mark.parametrize("place", ["absent", "a-file", "a-directory"])
+def test_unusable_out_exits_2_before_loading(tmp_path, command, place, capsys):
     # The corpus is malformed, so any loading would fail with exit 1.
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n", encoding="utf-8")
-    if parent == "a-file":
-        (tmp_path / parent).write_text("", encoding="utf-8")
-    out = tmp_path / parent / "out.txt"
+    if place == "a-directory":
+        out = tmp_path / place
+        out.mkdir()
+        expected = f"--out names a directory: {out}"
+    else:
+        if place == "a-file":
+            (tmp_path / place).write_text("", encoding="utf-8")
+        out = tmp_path / place / "out.txt"
+        expected = f"output directory not found: {out.parent}"
     code = main([command[0], "--corpus", str(bad), "--out", str(out), *command[1:]])
     assert code == 2
-    assert capsys.readouterr().err == f"error: output directory not found: {out.parent}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.is_file()
+    if out.is_dir():
+        assert not any(out.iterdir())
 
 
 class TestEmbedCommands:
@@ -688,6 +696,19 @@ class TestEmbedCommands:
         )
         assert code == 2
         assert not vectors.exists()
+
+    def test_unwritable_output_prints_whole_os_error(self, tmp_path, synthetic_jsonl, capsys):
+        # The directory of --out exists, so the write itself fails: the link
+        # points into a directory that does not.
+        vectors = tmp_path / "vectors.txt"
+        vectors.symlink_to(tmp_path / "absent" / "vectors.txt")
+        code = main(
+            ["embed-train", "--corpus", str(synthetic_jsonl), "--out", str(vectors),
+             "--seed", "3", "--dim", "4", "--epochs", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(vectors) in err
 
     def test_unknown_term_exits_2(self, tmp_path):
         vectors = tmp_path / "v.txt"
