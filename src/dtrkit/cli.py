@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import embeddings, evaluation, representations
 from .corpus import CORPUS_FORMATS, DEFAULT_CORPUS_FORMAT, DEFAULT_MAX_TERMS
-from .corpus import _finite_real, _integer, _read_text
+from .corpus import _integer, _read_text
 from .corpus import build_vocabulary, load_corpus
 from .evaluation import (
     CHARACTERISTICS,
@@ -36,6 +36,16 @@ __all__ = ["main", "ConfigError"]
 
 class ConfigError(Exception):
     """Invalid configuration or command usage (exit code 2)."""
+
+
+# The keys a run config may hold, at the top level, in a corpus entry and in
+# ``evaluation``.  A representation entry and ``classifier`` are checked by
+# the fields of ``RepConfig`` and ``ClfConfig``.
+CONFIG_KEYS = (
+    "seed", "output_dir", "corpora", "tasks", "representations", "classifier", "evaluation"
+)
+CORPUS_KEYS = ("name", "path", "format")
+EVALUATION_KEYS = ("folds", "alpha", "baselines")
 
 
 def _int_at_least(low: int):
@@ -152,6 +162,7 @@ def _load_run_config(args) -> dict:
             raise ConfigError(str(exc)) from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
+        _check_keys(cfg, CONFIG_KEYS, "the config")
 
     # Flags override file values.
     if args.corpus:
@@ -161,8 +172,11 @@ def _load_run_config(args) -> dict:
         ]
     if args.task:
         cfg["tasks"] = [args.task]
-    if args.rep:
-        cfg["representations"] = [{"kind": args.rep}]
+    if args.rep:  # the configured entries of that kind, with their settings
+        listed = cfg.get("representations")
+        listed = listed if isinstance(listed, list) else []
+        kept = [spec for spec in listed if isinstance(spec, dict) and spec.get("kind") == args.rep]
+        cfg["representations"] = kept or [{"kind": args.rep}]
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out:
@@ -176,8 +190,10 @@ def _load_run_config(args) -> dict:
     for spec in corpora:
         if not isinstance(spec, dict):
             raise ConfigError(f"every corpus entry must be a JSON object, got {spec!r}")
+        _check_keys(spec, CORPUS_KEYS, "a corpus entry")
         if "path" not in spec or "format" not in spec:
             raise ConfigError("every corpus entry needs 'path' and 'format'")
+        _check_string(spec["path"], "corpus path")
         spec.setdefault("name", _default_corpus_name(spec["path"]))
         _check_file_name_part(spec["name"], "corpus name")
         if spec["format"] not in CORPUS_FORMATS:
@@ -194,17 +210,32 @@ def _load_run_config(args) -> dict:
     if not cfg.get("representations"):
         raise ConfigError("config must list at least one representation")
     cfg.setdefault("output_dir", "reports")
-    if not isinstance(cfg.get("evaluation", {}), dict):
+    _check_string(cfg["output_dir"], "'output_dir'")
+    given = cfg.get("evaluation", {})
+    if not isinstance(given, dict):
         raise ConfigError("'evaluation' must be a JSON object")
-    defaults = {"folds": DEFAULT_FOLDS, "alpha": DEFAULT_ALPHA}
-    cfg["evaluation"] = {**defaults, **cfg.get("evaluation", {})}
-    folds, alpha = cfg["evaluation"]["folds"], cfg["evaluation"]["alpha"]
-    if not (_integer(folds) and folds >= 2):
-        raise ConfigError(f"evaluation folds must be an integer >= 2, got {folds!r}")
-    if not (_finite_real(alpha) and 0 < alpha < 1):
-        raise ConfigError(f"evaluation alpha must be a number in (0, 1), got {alpha!r}")
+    _check_keys(given, EVALUATION_KEYS, "'evaluation'")
+    cfg["evaluation"] = {"folds": DEFAULT_FOLDS, "alpha": DEFAULT_ALPHA, **given}
+    for name, check in (("folds", evaluation._check_folds), ("alpha", evaluation._check_alpha)):
+        try:
+            check(cfg["evaluation"][name])
+        except ValueError as exc:
+            raise ConfigError(f"evaluation {name}: {exc}") from None
     cfg.setdefault("classifier", {})
     return cfg
+
+
+def _check_keys(entry: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse a key the config format does not define: a misspelled one
+    would otherwise be ignored."""
+    unknown = [key for key in entry if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; expected one of {list(allowed)}")
+
+
+def _check_string(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
 
 
 def _string_list(value) -> bool:

@@ -71,8 +71,10 @@ class RepConfig:
     rep_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.rep_id is None or isinstance(self.rep_id, str)):
-            raise ValueError(f"rep_id must be a string or null, got {self.rep_id!r}")
+        for name in ("rep_id", "pretrained_path"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
         _check_one_of("representation kind", self.kind, REP_KINDS)
         if self.kind == "w2v-pretrained" and not self.pretrained_path:
             raise ValueError("w2v-pretrained requires pretrained_path")
@@ -160,7 +162,6 @@ class EvalReport:
     mean_accuracy: float
     significance: dict[str, "WilcoxonResult"] = field(default_factory=dict)
     corpus_name: str | None = None
-    fold_matrices: list | None = field(default=None, repr=False, compare=False)
 
     def fold_accuracies(self) -> list[float]:
         return [f.accuracy for f in self.folds]
@@ -215,6 +216,20 @@ def reports_to_accuracy_csv(reports: dict[str, EvalReport]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_folds(k) -> None:
+    """Refuse a fold count that cross-validation cannot use."""
+    if not _integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 2:  # one fold would train on no documents
+        raise ValueError(f"k must be at least 2 for cross-validation, got {k}")
+
+
+def _check_alpha(alpha) -> None:
+    """Refuse a significance level outside (0, 1)."""
+    if not (_finite_real(alpha) and 0 < alpha < 1):
+        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+
+
 def _fold_seed(seed: int, fold_idx: int) -> int:
     return _seed(np.random.SeedSequence([_seed(seed), fold_idx]).generate_state(1, np.uint64)[0])
 
@@ -230,13 +245,12 @@ def _pretrained_vectors(corpus: Corpus, path) -> tuple[list[str], np.ndarray]:
 
 
 def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
-    """``(term matrix, x_train, x_test)`` of one fold; the term matrix is
-    ``None`` for ``bow``.  Each builder is looked up in its module when it
-    runs, so a function rebound there is the one called."""
+    """``(x_train, x_test)`` of one fold.  The term matrix is freed when the
+    step returns, before the SVM trains.  Each builder is looked up in its
+    module when it runs, so a function rebound there is the one called."""
     if rep.kind == "bow":
         idf = classifier.compute_idf(train, vocab) if clf.bow_weighting == "tfidf" else None
         return (
-            None,
             classifier.build_bow_matrix(train, vocab, clf.bow_weighting, idf),
             classifier.build_bow_matrix(test, vocab, clf.bow_weighting, idf),
         )
@@ -253,7 +267,7 @@ def _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors):
         tm = embeddings.project_embeddings(*vectors, vocab, source=rep.pretrained_path)
     x_train = representations.aggregate_corpus(train, tm, vocab, rep.weighting)
     x_test = representations.aggregate_corpus(test, tm, vocab, rep.weighting)
-    return tm, x_train, x_test
+    return x_train, x_test
 
 
 def _fold_table(corpus: Corpus, task: str, k: int, seed: int, max_terms: int | None) -> list:
@@ -289,7 +303,6 @@ def cross_validate(
     k: int = DEFAULT_FOLDS,
     seed: int = 0,
     corpus_name: str | None = None,
-    keep_fold_matrices: bool = False,
 ) -> EvalReport:
     """Stratified k-fold evaluation (``k`` >= 2) of one representation on one task.
 
@@ -298,15 +311,11 @@ def cross_validate(
     ``(task, k, seed, max_terms)`` for the next call with that key.  Each fold
     draws its seed, used by SSR clustering and skip-gram training, from
     ``seed``.  A pretrained vector file is read once, before the first fold.
-    One fold's arrays are held at a time; ``keep_fold_matrices=True`` keeps
-    every fold's term matrix for the report.
+    One fold's arrays are held at a time.
     """
     rep = rep or RepConfig()
     clf = clf or ClfConfig()
-    if not _integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 2:  # one fold would train on no documents
-        raise ValueError(f"k must be at least 2 for cross-validation, got {k}")
+    _check_folds(k)
     key = (task, k, seed, rep.max_terms)
     if corpus._folds is None or corpus._folds[0] != key:
         corpus._folds = (key, _fold_table(corpus, task, k, seed, rep.max_terms))
@@ -314,13 +323,9 @@ def cross_validate(
     if rep.kind == "w2v-pretrained":
         vectors = _pretrained_vectors(corpus, rep.pretrained_path)
     results: list[FoldResult] = []
-    matrices = [] if keep_fold_matrices else None
     for fold_idx, (vocab, train, test) in enumerate(corpus._folds[1]):
         fold_seed = _fold_seed(seed, fold_idx)
-        tm, x_train, x_test = _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors)
-        if keep_fold_matrices:
-            matrices.append(tm)
-        del tm  # dropped once both sides are aggregated, before the SVM trains
+        x_train, x_test = _fold_features(train, test, task, vocab, rep, clf, fold_seed, vectors)
         model = classifier.train_linear_svm(
             x_train,
             train.labels(task),
@@ -347,7 +352,6 @@ def cross_validate(
         folds=results,
         mean_accuracy=mean_acc,
         corpus_name=corpus_name,
-        fold_matrices=matrices,
     )
 
 
@@ -430,8 +434,7 @@ def wilcoxon_signed_rank(
     is used.  Fewer than five nonzero differences flags the result as
     insufficient (never significant).
     """
-    if not (_finite_real(alpha) and 0 < alpha < 1):
-        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if not (_integer(exact_threshold) and exact_threshold >= 0):
         raise ValueError(f"exact_threshold must be a non-negative integer, got {exact_threshold!r}")
     a = np.asarray(a, dtype=np.float64)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dtrkit import embeddings, representations
 from dtrkit.corpus import AuthorDoc, Corpus
+from dtrkit.evaluation import cross_validate
 
 # CI runs every property test on more examples (pytest
 # --hypothesis-profile=ci); a local run keeps the defaults and its runtime.
@@ -23,6 +25,36 @@ def corpus_from_tokens(token_lists, labels=None, task="cat"):
             AuthorDoc.from_text(f"doc{i:03d}", " ".join(tokens), {task: label})
         )
     return Corpus(docs, frozenset({task}))
+
+
+# Every builder of a term matrix that the fold step of cross_validate calls.
+FOLD_BUILDERS = (
+    (representations, "build_dor"),
+    (representations, "build_tcor"),
+    (representations, "build_ssr"),
+    (embeddings, "train_skipgram"),
+    (embeddings, "project_embeddings"),
+)
+
+
+def cross_validate_recording(*args, **kwargs):
+    """``cross_validate(*args, **kwargs)`` and the term matrices its folds
+    built, in fold order (none for ``bow``).  For the call, each builder is
+    rebound in its module to one that also records what it returns."""
+    built = []
+
+    def recording(build):
+        def record(*a, **kw):
+            built.append(build(*a, **kw))
+            return built[-1]
+
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in FOLD_BUILDERS:
+            patch.setattr(module, name, recording(getattr(module, name)))
+        report = cross_validate(*args, **kwargs)
+    return report, built
 
 
 def random_token_lists(rng, max_docs=5, max_terms=10, max_len=30):

@@ -38,7 +38,7 @@ from dtrkit.representations import (
 )
 from dtrkit.synthetic import make_synthetic_corpus
 
-from conftest import corpus_from_tokens, random_token_lists
+from conftest import corpus_from_tokens, cross_validate_recording, random_token_lists
 from oracles import brute_force_wilcoxon, naive_dor, naive_tcor
 
 PAN14_BLOGS_ENV = "DTRKIT_PAN14_BLOGS"
@@ -234,13 +234,12 @@ def test_leakage_guard(tmp_path):
     with criterion("leakage (per-fold DOR bit-identical under test-text corruption)"):
         corpus = make_synthetic_corpus(authors_per_category=15, tokens_per_doc=60, seed=8)
         rep = RepConfig(kind="dor")
-        baseline = cross_validate(
-            corpus, "topic", rep, k=5, seed=13, keep_fold_matrices=True
-        )
-        for fold in baseline.folds:
+        report, baseline = cross_validate_recording(corpus, "topic", rep, k=5, seed=13)
+        for fold in report.folds:
             assert fold.rep_dims == len(corpus) - len(fold.predictions)
 
         folds = stratified_kfold(corpus.labels("topic"), k=5, seed=13)
+        assert len(baseline) == len(folds)
         for fold_idx, test_idx in enumerate(folds):
             test_set = set(test_idx)
             corrupted = Corpus(
@@ -252,13 +251,11 @@ def test_leakage_guard(tmp_path):
                 ],
                 corpus.tasks,
             )
-            rerun = cross_validate(
-                corrupted, "topic", rep, k=5, seed=13, keep_fold_matrices=True
-            )
+            _, rerun = cross_validate_recording(corrupted, "topic", rep, k=5, seed=13)
             a_path = tmp_path / f"fold{fold_idx}_a.txt"
             b_path = tmp_path / f"fold{fold_idx}_b.txt"
-            save_term_matrix(baseline.fold_matrices[fold_idx], a_path)
-            save_term_matrix(rerun.fold_matrices[fold_idx], b_path)
+            save_term_matrix(baseline[fold_idx], a_path)
+            save_term_matrix(rerun[fold_idx], b_path)
             assert a_path.read_bytes() == b_path.read_bytes(), f"fold {fold_idx}"
 
 

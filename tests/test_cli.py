@@ -223,6 +223,29 @@ class TestRun:
             ({"corpora": [{"path": "c.jsonl", "format": "csv"}]}, "unknown corpus format 'csv'"),
             ({"representations": []}, "config must list at least one representation"),
             ({"representations": [{"max_terms": 5}]}, "every representation entry needs a 'kind'"),
+            # A misspelled key would be ignored: the reports would go to
+            # reports/, the run would use 10 folds.
+            ({"output": "x"}, "unknown key 'output' in the config"),
+            (
+                {"corpora": [{"path": "c.jsonl", "format": "jsonl", "fmt": "jsonl"}]},
+                "unknown key 'fmt' in a corpus entry",
+            ),
+            ({"evaluation": {"fold": 3}}, "unknown key 'fold' in 'evaluation'"),
+            *(
+                row
+                for bad in (3, True, ["c.jsonl"])
+                for row in (
+                    (
+                        {"corpora": [{"path": bad, "format": "jsonl"}]},
+                        f"corpus path must be a string, got {bad!r}",
+                    ),
+                    ({"output_dir": bad}, f"'output_dir' must be a string, got {bad!r}"),
+                    (
+                        {"representations": [{"kind": "w2v-pretrained", "pretrained_path": bad}]},
+                        f"pretrained_path must be a string or null, got {bad!r}",
+                    ),
+                )
+            ),
             (
                 {"representations": [{"kind": "bow"}, {"kind": "dor", "rep_id": "bow"}]},
                 "representation ids must be unique, got ['bow', 'bow']",
@@ -238,6 +261,43 @@ class TestRun:
         config, _ = write_config(tmp_path, bad, **overrides)
         assert main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_rep_flag_keeps_the_configured_entries_of_its_kind(self, tmp_path, synthetic_jsonl):
+        reps = [
+            {"kind": "bow"},
+            {"kind": "tcor", "max_terms": 7},
+            {"kind": "tcor", "rep_id": "tcor-all"},
+            {"kind": "dor"},
+        ]
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, representations=reps, evaluation={"folds": 2}
+        )
+        assert main(["run", "--config", str(config), "--rep", "tcor"]) == 0
+        out = tmp_path / "reports"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "synthetic_topic_folds.csv",
+            "synthetic_topic_tcor-all.json",
+            "synthetic_topic_tcor.json",
+        ]
+        dims = {
+            name: {fold["rep_dims"] for fold in json.loads((out / name).read_text())["folds"]}
+            for name in ("synthetic_topic_tcor.json", "synthetic_topic_tcor-all.json")
+        }
+        assert dims["synthetic_topic_tcor.json"] == {7}
+        assert min(dims["synthetic_topic_tcor-all.json"]) > 7
+
+    def test_rep_flag_keeps_a_configured_pretrained_path(self, tmp_path, synthetic_jsonl):
+        rng = np.random.default_rng(5)
+        vectors = tmp_path / "vectors.txt"
+        rows = [f"w{i:03d} " + " ".join(map(repr, rng.normal(size=3).tolist())) for i in range(120)]
+        vectors.write_text("\n".join(["120 3", *rows]) + "\n", encoding="utf-8")
+        reps = [{"kind": "bow"}, {"kind": "w2v-pretrained", "pretrained_path": str(vectors)}]
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, representations=reps, evaluation={"folds": 2}
+        )
+        assert main(["run", "--config", str(config), "--rep", "w2v-pretrained"]) == 0
+        assert (tmp_path / "reports" / "synthetic_topic_w2v-pretrained.json").is_file()
+        assert not (tmp_path / "reports" / "synthetic_topic_bow.json").exists()
 
     def test_format_without_corpus_exits_2(self, tmp_path, synthetic_jsonl, capsys):
         # The config's corpus is jsonl; the flag would have been ignored.

@@ -35,7 +35,7 @@ from dtrkit.representations import TermMatrix, save_term_matrix
 from dtrkit.stopwords import default_stopwords
 from dtrkit.synthetic import make_synthetic_corpus
 
-from conftest import corpus_from_tokens
+from conftest import corpus_from_tokens, cross_validate_recording
 from oracles import brute_force_wilcoxon, naive_information_gain, naive_top_terms_tfidf
 
 
@@ -574,9 +574,10 @@ class TestCrossValidate:
 
         corpus = self.small_corpus()
         rep = self.pretrained_rep(corpus, tmp_path)
-        report = cross_validate(corpus, "topic", rep, k=4, seed=7, keep_fold_matrices=True)
+        _, built = cross_validate_recording(corpus, "topic", rep, k=4, seed=7)
         folds = stratified_kfold(corpus.labels("topic"), k=4, seed=7)
-        for test_idx, got in zip(folds, report.fold_matrices):
+        assert len(built) == len(folds)
+        for test_idx, got in zip(folds, built):
             train = corpus.subset([i for i in range(len(corpus)) if i not in set(test_idx)])
             want = load_embeddings(rep.pretrained_path, build_vocabulary(train, rep.max_terms))
             assert got.terms == want.terms
@@ -621,12 +622,11 @@ class TestCrossValidate:
     def test_fold_matrix_identical_after_corrupting_test_texts(self, tmp_path, kind):
         corpus = self.small_corpus(seed=8)
         rep = RepConfig(kind=kind)
-        baseline = cross_validate(
-            corpus, "topic", rep, k=5, seed=13, keep_fold_matrices=True
-        )
+        _, baseline = cross_validate_recording(corpus, "topic", rep, k=5, seed=13)
         from dtrkit.evaluation import stratified_kfold as skf
 
         folds = skf(corpus.labels("topic"), k=5, seed=13)
+        assert len(baseline) == len(folds)
         for fold_idx, test_idx in enumerate(folds):
             test_set = set(test_idx)
             corrupted_docs = [
@@ -636,13 +636,11 @@ class TestCrossValidate:
                 for i, d in enumerate(corpus.docs)
             ]
             corrupted = Corpus(corrupted_docs, corpus.tasks)
-            rerun = cross_validate(
-                corrupted, "topic", rep, k=5, seed=13, keep_fold_matrices=True
-            )
+            _, rerun = cross_validate_recording(corrupted, "topic", rep, k=5, seed=13)
             a_path = tmp_path / "a.txt"
             b_path = tmp_path / "b.txt"
-            save_term_matrix(baseline.fold_matrices[fold_idx], a_path)
-            save_term_matrix(rerun.fold_matrices[fold_idx], b_path)
+            save_term_matrix(baseline[fold_idx], a_path)
+            save_term_matrix(rerun[fold_idx], b_path)
             assert a_path.read_bytes() == b_path.read_bytes()
 
     def test_attach_significance_pairs_folds(self):
@@ -696,10 +694,9 @@ class TestSharedFolds:
         """The report and the fold term matrices: the predictions of a
         separable corpus can survive a change of the features, the term
         matrices cannot."""
-        report = cross_validate(corpus, "topic", rep, clf, k=k, seed=seed, keep_fold_matrices=True)
-        matrices = [
-            tm and (tm.terms, tm.feature_names, tm.matrix.tobytes()) for tm in report.fold_matrices
-        ]
+        report, built = cross_validate_recording(corpus, "topic", rep, clf, k=k, seed=seed)
+        assert len(built) == (0 if rep.kind == "bow" else k)
+        matrices = [(tm.terms, tm.feature_names, tm.matrix.tobytes()) for tm in built]
         return report_to_json(report), matrices
 
     @pytest.mark.parametrize("order", [KINDS, KINDS[::-1]], ids=["forward", "reverse"])
@@ -840,7 +837,7 @@ class TestClfConfigStandardize:
 
 class TestFoldLifetime:
     """``cross_validate`` holds one fold's term matrix, features and model at
-    a time, unless it is asked to keep the term matrices."""
+    a time."""
 
     KINDS = ("dor", "tcor", "ssr")
 
@@ -876,28 +873,6 @@ class TestFoldLifetime:
             gc.enable()
         assert len(made) == 4 * 4
         assert alive_at_build == [0, 0, 0, 0]
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_kept_matrices_equal_those_of_a_run_that_drops_them(self, monkeypatch, kind):
-        corpus = make_synthetic_corpus(authors_per_category=10, tokens_per_doc=40, seed=4)
-        rep, built = RepConfig(kind=kind), []
-        build = getattr(representations, f"build_{kind}")
-
-        def recording_build(*args, **kwargs):
-            built.append(build(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(representations, f"build_{kind}", recording_build)
-        dropped = cross_validate(corpus, "topic", rep, k=4, seed=5)
-        monkeypatch.undo()
-        kept = cross_validate(corpus, "topic", rep, k=4, seed=5, keep_fold_matrices=True)
-        assert dropped.fold_matrices is None
-        assert len(kept.fold_matrices) == len(built) == 4
-        for got, want in zip(kept.fold_matrices, built):
-            assert got is not want
-            assert (got.terms, got.feature_names) == (want.terms, want.feature_names)
-            assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert report_to_json(kept) == report_to_json(dropped)
 
 
 class TestRepConfig:
