@@ -174,9 +174,15 @@ def _load_run_config(args) -> dict:
         cfg["tasks"] = [args.task]
     if args.rep:  # the configured entries of that kind, with their settings
         listed = cfg.get("representations")
-        listed = listed if isinstance(listed, list) else []
-        kept = [spec for spec in listed if isinstance(spec, dict) and spec.get("kind") == args.rep]
-        cfg["representations"] = kept or [{"kind": args.rep}]
+        listed = [s for s in listed if isinstance(s, dict)] if isinstance(listed, list) else []
+        kept = [spec for spec in listed if spec.get("kind") == args.rep] or [{"kind": args.rep}]
+        cfg["representations"] = kept
+        # A baseline that names a filtered-out entry goes with it.
+        kept_ids = [_spec_id(spec) for spec in kept]
+        gone = [rep_id for rep_id in map(_spec_id, listed) if rep_id not in kept_ids]
+        given = cfg.get("evaluation")
+        if isinstance(given, dict) and _string_list(given.get("baselines")):
+            given["baselines"] = [b for b in given["baselines"] if b not in gone]
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out:
@@ -258,6 +264,11 @@ def _check_unique(values: list[str], what: str) -> None:
     """Refuse a repeated name: its report files would overwrite the first one's."""
     if len(set(values)) != len(values):
         raise ConfigError(f"{what} must be unique, got {values}")
+
+
+def _spec_id(spec: dict):
+    """The id a representation entry reports under, as ``RepConfig.id``."""
+    return spec.get("rep_id") or spec.get("kind")
 
 
 def _rep_from_spec(spec: dict) -> RepConfig:

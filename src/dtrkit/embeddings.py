@@ -119,11 +119,22 @@ def _pair_batches(lengths: np.ndarray, spans: np.ndarray, window: int):
 
 def _scatter_add(w, rows: np.ndarray, coef: np.ndarray, values: np.ndarray) -> None:
     """``w[rows[b, k]] += coef[b, k] * values[b]`` for every b, k, summed in
-    (b, k) order, as one sparse product over the distinct rows touched."""
-    touched, inverse = np.unique(rows, return_inverse=True)
+    (b, k) order, as one sparse product over the distinct rows touched.
+
+    The touched rows are those with a nonzero presence count, in ascending
+    order, and an int32 slot map sends each row to its place among them:
+    the rows and the inverse ``np.unique(rows, return_inverse=True)`` gives,
+    without a sort.  The int32 CSC arrays are taken by scipy as they are.
+    Column b holds pair b's k entries in order, so ``csc_matvecs`` adds
+    them to each touched row in (b, k) order."""
+    flat = rows.ravel()
+    touched = np.flatnonzero(np.bincount(flat))
+    slot = np.empty(len(w), dtype=np.int32)
+    slot[touched] = np.arange(len(touched), dtype=np.int32)
     n, k = rows.shape
     spread = sp.csc_matrix(
-        (coef.ravel(), inverse.ravel(), np.arange(0, n * k + 1, k)), shape=(len(touched), n)
+        (coef.ravel(), slot[flat], np.arange(0, n * k + 1, k, dtype=np.int32)),
+        shape=(len(touched), n),
     )
     w[touched] += spread @ values
 
@@ -134,8 +145,10 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     Row b pairs ``centers[b]`` with ``contexts[b]`` (label 1) and with each
     of ``negs[b]`` (label 0; a negative equal to the context has weight 0).
     Every gradient is taken at the parameters before the batch; they are
-    then added to ``w_out`` and ``w_in`` in row order.  The sigmoid is
-    numpy's (:func:`_sigmoid`), so training loads no dense scipy module.
+    then added to ``w_out`` and ``w_in`` in row order by :func:`_scatter_add`.
+    The log-sigmoid of the scores is taken once: the gradient reads its
+    ``exp``, which is :func:`_sigmoid`, and the positive loss term reads it
+    as it is.  All of it is numpy's, so training loads no dense scipy module.
     Returns the batch's summed loss.
     """
     targets = np.concatenate((contexts[:, None], negs), axis=1)
@@ -145,12 +158,43 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     v = w_in[centers]
     u = w_out[targets]
     scores = np.einsum("bd,bkd->bk", v, u)
-    grad = (labels - _sigmoid(scores)) * weight * lr
+    log_sig = _log_sigmoid(scores)
+    grad = (labels - np.exp(log_sig)) * weight * lr
     grad_in = np.einsum("bk,bkd->bd", grad, u)
     _scatter_add(w_out, targets, grad, v)
     _scatter_add(w_in, centers[:, None], np.ones((len(centers), 1)), grad_in)
-    loss = _log_sigmoid(scores[:, 0]).sum() + (weight[:, 1:] * _log_sigmoid(-scores[:, 1:])).sum()
+    loss = log_sig[:, 0].sum() + (weight[:, 1:] * _log_sigmoid(-scores[:, 1:])).sum()
     return -float(loss)
+
+
+def _noise_buckets(cum: np.ndarray) -> np.ndarray:
+    """The bucket table of :func:`_draw_negatives` for the cumulative noise
+    distribution ``cum``: entry j is ``np.searchsorted(cum, j / M)`` for
+    j = 0..M, where M is the least power of two of at least ``8 * len(cum)``.
+    It holds at most ``16 * len(cum)`` entries."""
+    m = 1 << (8 * len(cum) - 1).bit_length()
+    return np.searchsorted(cum, np.arange(m + 1) / m)
+
+
+def _draw_negatives(cum: np.ndarray, buckets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, keys)`` for keys in [0, 1), through the table
+    ``buckets`` of :func:`_noise_buckets`.
+
+    Key r lies in bucket ``b = int(r * M)``; the product is exact, since M
+    is a power of two.  Its term lies in ``[buckets[b], buckets[b + 1]]``.
+    A bucket that spans at most one boundary places the key with one
+    comparison, ``lo + (cum[lo] < r)``; keys in wider buckets fall back
+    to ``np.searchsorted``.  The terms are the same for every key, zero-mass
+    terms included, since both find the first ``cum`` entry not below it.
+    """
+    m = len(buckets) - 1
+    bucket = (keys * m).astype(np.intp)
+    lo = buckets[bucket]
+    out = lo + (cum[lo] < keys)
+    wide = buckets[bucket + 1] - lo > 1
+    if wide.any():
+        out[wide] = np.searchsorted(cum, keys[wide])
+    return out
 
 
 def train_skipgram(
@@ -188,6 +232,7 @@ def train_skipgram(
     noise = np.where(trainable, freqs, 0.0) ** 0.75  # sums to 0 only with no sentences
     cum = np.cumsum(noise / max(noise.sum(), 1e-300))
     cum[-1] = 1.0  # every draw in [0, 1) lands on a term
+    buckets = _noise_buckets(cum)
 
     keep = None
     if cfg.subsample > 0:
@@ -212,7 +257,7 @@ def train_skipgram(
             for centers, contexts in _pair_batches(lengths, spans, cfg.window):
                 done = (processed + centers[0]) / (total_words + 1)
                 lr = max(cfg.initial_lr * (1.0 - done), lr_floor)
-                negs = np.searchsorted(cum, rng.random((len(centers), cfg.negatives)))
+                negs = _draw_negatives(cum, buckets, rng.random((len(centers), cfg.negatives)))
                 loss_sum += _sgns_step(w_in, w_out, tokens[centers], tokens[contexts], negs, lr)
                 n_pairs += len(centers)
             processed += len(tokens)

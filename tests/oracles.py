@@ -515,6 +515,24 @@ def naive_sgns_batch(w_in, w_out, centers, contexts, negs, lr: float):
     return new_in, new_out, loss
 
 
+def naive_scatter_add(w, rows: np.ndarray, coef: np.ndarray, values: np.ndarray) -> None:
+    """``w[rows[b, k]] += coef[b, k] * values[b]`` summed in (b, k) order:
+    the distinct rows and their inverse from ``np.unique``, then one int64
+    CSC product, as the trainer's scatter was first written."""
+    touched, inverse = np.unique(rows, return_inverse=True)
+    n, k = rows.shape
+    spread = sp.csc_matrix(
+        (coef.ravel(), inverse.ravel(), np.arange(0, n * k + 1, k)), shape=(len(touched), n)
+    )
+    w[touched] += spread @ values
+
+
+def naive_draw_negatives(cum: np.ndarray, buckets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The term each key in [0, 1) draws from the cumulative distribution
+    ``cum``, by binary search over all of it; ``buckets`` is not read."""
+    return np.searchsorted(cum, keys)
+
+
 def naive_fold_table(corpus, folds: list[list[int]], max_terms):
     """One ``(vocab, train counts, test counts)`` triple per test fold of
     ``folds``: the vocabulary built from the subset corpus of the training

@@ -286,6 +286,31 @@ class TestRun:
         assert dims["synthetic_topic_tcor.json"] == {7}
         assert min(dims["synthetic_topic_tcor-all.json"]) > 7
 
+    def test_rep_flag_drops_the_baselines_it_filtered_out(self, tmp_path, synthetic_jsonl):
+        reps = [{"kind": "bow"}, {"kind": "dor"}, {"kind": "dor", "rep_id": "dor30", "max_terms": 30}]
+        config, _ = write_config(
+            tmp_path,
+            synthetic_jsonl,
+            representations=reps,
+            evaluation={"folds": 2, "baselines": ["bow", "dor30"]},
+        )
+        assert main(["run", "--config", str(config), "--rep", "dor"]) == 0
+        out = tmp_path / "reports"
+        assert not (out / "synthetic_topic_bow.json").exists()
+        dor = json.loads((out / "synthetic_topic_dor.json").read_text())
+        assert list(dor["significance"]) == ["dor30"]
+        assert json.loads((out / "synthetic_topic_dor30.json").read_text())["significance"] == {}
+
+    def test_rep_flag_keeps_refusing_a_baseline_that_names_nothing(
+        self, tmp_path, synthetic_jsonl, capsys
+    ):
+        config, _ = write_config(
+            tmp_path, synthetic_jsonl, evaluation={"folds": 2, "baselines": ["bow", "tcor"]}
+        )
+        assert main(["run", "--config", str(config), "--rep", "dor"]) == 2
+        assert "['tcor'] are not configured" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
     def test_rep_flag_keeps_a_configured_pretrained_path(self, tmp_path, synthetic_jsonl):
         rng = np.random.default_rng(5)
         vectors = tmp_path / "vectors.txt"

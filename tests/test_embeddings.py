@@ -19,9 +19,15 @@ from dtrkit.embeddings import (
     train_skipgram,
 )
 from dtrkit.representations import TermMatrix
+from dtrkit.synthetic import make_synthetic_corpus
 
 from conftest import corpus_from_tokens
-from oracles import naive_sgns_batch, naive_skipgram_pairs
+from oracles import (
+    naive_draw_negatives,
+    naive_scatter_add,
+    naive_sgns_batch,
+    naive_skipgram_pairs,
+)
 
 
 def identical_context_corpus(repeats=40):
@@ -110,6 +116,21 @@ class TestTrainSkipgram:
         assert np.isfinite(first.matrix).all()
         assert first.matrix.any()
         np.testing.assert_array_equal(first.matrix, second.matrix)
+
+    @pytest.mark.parametrize(
+        "setting", [{}, {"subsample": 1e-3}, {"min_count": 2}, {"negatives": 0}]
+    )
+    def test_matches_training_through_reference_helpers(self, monkeypatch, setting):
+        # Many terms occur once, so min_count 2 leaves zero-mass runs in the noise.
+        corpus = make_synthetic_corpus(authors_per_category=3, tokens_per_doc=60, seed=3)
+        vocab = build_vocabulary(corpus)
+        cfg = EmbeddingConfig(dim=6, epochs=2, window=3, **setting)
+        got = train_skipgram(corpus, vocab, cfg, seed=11)
+        monkeypatch.setattr(embeddings, "_scatter_add", naive_scatter_add)
+        monkeypatch.setattr(embeddings, "_draw_negatives", naive_draw_negatives)
+        want = train_skipgram(corpus, vocab, cfg, seed=11)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.meta["objective"] == want.meta["objective"]
 
     def test_empty_vocabulary_rejected(self):
         corpus = corpus_from_tokens([["a"]])

@@ -1,7 +1,8 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
 read from it, stratified folds and each fold's vocabulary and sides, SSR
 k-means, the SVM solver, the SVM model, term-matrix and word2vec
-containers, and the jsonl corpus file."""
+containers, the skip-gram scatter and negative draw, and the jsonl corpus
+file."""
 
 import json
 import math
@@ -50,12 +51,14 @@ from dtrkit.representations import (
 from oracles import (
     naive_count_matrix,
     naive_counts,
+    naive_draw_negatives,
     naive_fmt_row,
     naive_fold_features,
     naive_fold_table,
     naive_imbalance_and_hardness,
     naive_kmeans,
     naive_read_word2vec,
+    naive_scatter_add,
     naive_tokenize,
 )
 
@@ -582,6 +585,73 @@ def test_word2vec_round_trips_bit_for_bit(tm):
         words, matrix = read_word2vec(path)
     assert words == tm.terms
     assert same_bits(matrix, tm.matrix)
+
+
+# Finite values whose products and sums stay finite; signed zeros drawn often.
+SMALL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def scatter_cases(draw):
+    """A scatter into ``|V|`` rows: pair b adds ``coef[b, k] * values[b]``
+    to row ``rows[b, k]``.  A row may repeat within a pair and across pairs."""
+    n_terms = draw(st.integers(1, 8))
+    n, k, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def floats(*shape):
+        size = math.prod(shape)
+        flat = draw(st.lists(SMALL_FLOATS, min_size=size, max_size=size))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    rows = draw(st.lists(st.integers(0, n_terms - 1), min_size=n * k, max_size=n * k))
+    return floats(n_terms, dim), np.array(rows).reshape(n, k), floats(n, k), floats(n, dim)
+
+
+@given(scatter_cases())
+def test_scatter_add_matches_unique_csc_scatter(case):
+    w, rows, coef, values = case
+    want = w.copy()
+    naive_scatter_add(want, rows, coef, values)
+    embeddings._scatter_add(w, rows, coef, values)
+    assert same_bits(w, want)
+
+
+@st.composite
+def noise_cases(draw):
+    """A cumulative noise distribution built as ``train_skipgram`` builds it
+    (zero-mass runs, one term and all-zero weights included), and keys in
+    [0, 1): every bucket edge ``j / M``, every ``cum`` value below 1, the
+    float on each side of both, and drawn keys."""
+    weight = st.just(0.0) | st.floats(1e-12, 1e6) | st.integers(1, 50).map(float)
+    weights = draw(st.lists(weight, min_size=1, max_size=12))
+    noise = np.array(weights) ** 0.75
+    cum = np.cumsum(noise / max(noise.sum(), 1e-300))
+    cum[-1] = 1.0
+    buckets = embeddings._noise_buckets(cum)
+    m = len(buckets) - 1
+    edges = np.concatenate((np.arange(m) / m, cum[cum < 1.0]))
+    keys = np.concatenate(
+        (
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20)),
+        )
+    )
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    return cum, buckets, keys.reshape(-1, 1)
+
+
+@given(noise_cases())
+def test_bucketed_negatives_match_searchsorted(case):
+    cum, buckets, keys = case
+    m = len(buckets) - 1
+    assert m & (m - 1) == 0 and 8 * len(cum) <= m and len(buckets) <= 16 * len(cum)
+    got = embeddings._draw_negatives(cum, buckets, keys)
+    np.testing.assert_array_equal(got, naive_draw_negatives(cum, buckets, keys))
+    assert got.dtype == np.intp
+    no_keys = np.empty((3, 0))
+    assert embeddings._draw_negatives(cum, buckets, no_keys).shape == (3, 0)
 
 
 @st.composite
