@@ -287,7 +287,11 @@ class TestRun:
         assert min(dims["synthetic_topic_tcor-all.json"]) > 7
 
     def test_rep_flag_drops_the_baselines_it_filtered_out(self, tmp_path, synthetic_jsonl):
-        reps = [{"kind": "bow"}, {"kind": "dor"}, {"kind": "dor", "rep_id": "dor30", "max_terms": 30}]
+        reps = [
+            {"kind": "bow"},
+            {"kind": "dor"},
+            {"kind": "dor", "rep_id": "dor30", "max_terms": 30},
+        ]
         config, _ = write_config(
             tmp_path,
             synthetic_jsonl,
