@@ -3,6 +3,9 @@
 # vocabulary (TCOR), and per-term probability distributions over profile
 # subclusters (SSR).
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from dtrkit import (
@@ -70,6 +73,8 @@ alone = aggregate_corpus(corpus.subset([0]), ssr, vocab, weighting="mean")[0]
 print("same row from a one-document subset:", bool(np.allclose(alone, doc_vecs[0])))
 
 # --- matrices round-trip through the textual container --------------------
-save_term_matrix(ssr, "/tmp/ssr_demo.txt")
-back = load_term_matrix("/tmp/ssr_demo.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "ssr_demo.txt"
+    save_term_matrix(ssr, path)
+    back = load_term_matrix(path)
 print("round-trip exact:", bool((back.matrix == ssr.matrix).all()))

@@ -7,7 +7,6 @@ one-vs-rest reduction for more than two categories.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary, _check_one_of, _finite_real, _positive_int
-from .representations import _ContainerReader, _fmt, _row_l2_normalize, _write_container, count_matrix
-from .representations import _idf
+from .representations import _idf, _row_l2_normalize, count_matrix
 
 __all__ = [
     "BOW_WEIGHTINGS",
@@ -27,8 +25,6 @@ __all__ = [
     "train_linear_svm",
     "decision_function",
     "predict",
-    "save_svm_model",
-    "load_svm_model",
 ]
 
 BOW_WEIGHTINGS = ("tf", "boolean", "tfidf")
@@ -167,7 +163,7 @@ def _bpp(
             swap[: np.flatnonzero(swap)[-1]] = False
         free ^= swap
         idx = np.flatnonzero(free)
-        G_FF = G[np.ix_(idx, idx)]
+        G_FF = G[idx][:, idx]
         b = np.linalg.solve(G_FF, y[idx])
         alpha = np.zeros(len(y))
         alpha[idx] = y[idx] * b
@@ -289,37 +285,3 @@ def predict(model: SvmModel, X) -> list[str]:
         return [model.categories[0] if v >= 0 else model.categories[1] for v in dec[:, 0]]
     return [model.categories[int(i)] for i in dec.argmax(axis=1)]
 
-
-_SVM_MAGIC = "svm-model 1"
-
-
-def save_svm_model(model: SvmModel, path) -> None:
-    """Textual model container; weights at 17 significant digits (exact round-trip)."""
-    standardized = model.feature_mean is not None
-    header = {
-        "categories": json.dumps(model.categories),
-        "C": _fmt(model.C),
-        "n_features": model.n_features,
-        "standardized": int(standardized),
-        "meta": json.dumps(model.meta, sort_keys=True),
-    }
-    rows = [model.feature_mean, model.feature_scale] if standardized else []
-    _write_container(path, _SVM_MAGIC, header, [], [*rows, *model.weights])
-
-
-def load_svm_model(path) -> SvmModel:
-    """Load a model written by :func:`save_svm_model`."""
-    reader = _ContainerReader(path, _SVM_MAGIC)
-    categories = reader.field("categories", json.loads)
-    reader.check(isinstance(categories, list) and len(categories) > 1, "need a list of 2+ categories")
-    C = reader.field("C", float)
-    n_features = reader.count("n_features")
-    standardized = reader.count("standardized")
-    reader.check(standardized in (0, 1), "standardized must be 0 or 1")
-    meta = reader.field("meta", json.loads)
-    mean = scale = None
-    if standardized:
-        mean, scale = reader.rows(2, n_features)
-    weights = reader.rows(1 if len(categories) == 2 else len(categories), n_features + 1)
-    reader.end()
-    return SvmModel(categories, C, weights, n_features, meta, feature_mean=mean, feature_scale=scale)

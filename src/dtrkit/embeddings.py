@@ -62,12 +62,6 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` through the log form, which raises no overflow
-    warning at any finite ``x``."""
-    return np.exp(_log_sigmoid(x))
-
-
 def _epoch_stream(sentences, keep, window: int, rng):
     """One epoch's tokens, sentence lengths and window spans.
 
@@ -147,9 +141,10 @@ def _sgns_step(w_in, w_out, centers, contexts, negs, lr: float) -> float:
     Every gradient is taken at the parameters before the batch; they are
     then added to ``w_out`` and ``w_in`` in row order by :func:`_scatter_add`.
     The log-sigmoid of the scores is taken once: the gradient reads its
-    ``exp``, which is :func:`_sigmoid`, and the positive loss term reads it
-    as it is.  All of it is numpy's, so training loads no dense scipy module.
-    Returns the batch's summed loss.
+    ``exp``, the sigmoid, which raises no overflow warning at any finite
+    score, and the positive loss term reads it as it is.  All of it is
+    numpy's, so training loads no dense scipy module.  Returns the batch's
+    summed loss.
     """
     targets = np.concatenate((contexts[:, None], negs), axis=1)
     weight = np.concatenate((np.ones((len(contexts), 1)), negs != contexts[:, None]), axis=1)

@@ -449,15 +449,9 @@ _TERM_MATRIX_MAGIC = "dtr-term-matrix 1"
 _FLOAT_SPEC = ".17g"
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), _FLOAT_SPEC)
-
-
 @functools.lru_cache(maxsize=16)
 def _row_format(width: int) -> str:
-    """The ``%`` template of a row of ``width`` values written as by
-    :func:`_fmt`: ``"%.17g" % x`` and ``format(x, ".17g")`` print a float
-    through the same C routine, so the text is the same."""
+    """The ``%`` template of a row of ``width`` values at :data:`_FLOAT_SPEC`."""
     return " ".join(["%" + _FLOAT_SPEC] * width)
 
 
@@ -481,38 +475,17 @@ def _parse_row(fields: list[str], where: str) -> list[float]:
     return values
 
 
-def _write_container(path, magic: str, header: dict, labels: list[str], rows) -> None:
-    """Write the text container that term matrices and SVM models share: the
-    ``magic`` line, one ``key value`` line per header field, one line per
-    label, then one :func:`_fmt_row` line per row.  A label that would span
-    lines or that UTF-8 cannot encode, or a row holding NaN or infinity, is
-    refused before the file is created.  ``rows`` is read twice, to check
-    and to write; the text is written a row at a time, so one row of it is
-    held in memory."""
-    for label in labels:
-        if "".join(label.splitlines()) != label:
-            raise ValueError(f"label {label!r} contains a line break")
-    _check_utf8(labels, lambda i: f"label {labels[i]!r}")
-    for i, row in enumerate(rows):
-        if not np.isfinite(row).all():
-            raise ValueError(f"row {i} holds a non-finite value")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in [magic, *(f"{key} {value}" for key, value in header.items()), *labels]:
-            fh.write(line + "\n")
-        for row in rows:
-            fh.write(_fmt_row(row) + "\n")
-
-
 class _ContainerReader:
-    """Reads a :func:`_write_container` file front to back: header fields by
+    """Reads a :func:`save_term_matrix` file front to back: header fields by
     name, then labels and rows by count and width, then :meth:`end`.  Every
     malformed, missing or extra line raises ``ValueError`` naming the file
     and the line."""
 
-    def __init__(self, path, magic: str) -> None:
+    def __init__(self, path) -> None:
         self.lines = _read_text(path).splitlines()
         self.path, self.pos = path, 0  # pos: number of the line last read
-        self.check(self._next("the first line") == magic, f"first line is not {magic!r}")
+        first = self._next("the first line")
+        self.check(first == _TERM_MATRIX_MAGIC, f"first line is not {_TERM_MATRIX_MAGIC!r}")
 
     def check(self, ok: bool, message: str) -> None:
         if not ok:
@@ -555,10 +528,22 @@ class _ContainerReader:
 
 
 def save_term_matrix(tm: TermMatrix, path) -> None:
-    """Write a term matrix as text, one row per term at 17 significant
-    digits, so that :func:`load_term_matrix` reads it back exactly.  The
-    text is written a row at a time; one row of it is held in memory."""
+    """Write a term matrix as text: the magic line, one ``key value`` line
+    per header field, one line per term, then per feature name, then one
+    row per term at 17 significant digits, so that :func:`load_term_matrix`
+    reads it back exactly.  A label that would span lines or that UTF-8
+    cannot encode, or a row holding NaN or infinity, is refused before the
+    file is created.  The text is written a row at a time; one row of it is
+    held in memory."""
     features = tm.feature_names or []
+    labels = [*tm.terms, *features]
+    for label in labels:
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"label {label!r} contains a line break")
+    _check_utf8(labels, lambda i: f"label {labels[i]!r}")
+    bad = np.flatnonzero(~np.isfinite(tm.matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} holds a non-finite value")
     header = {
         "kind": tm.rep_kind,
         "terms": len(tm.terms),
@@ -566,12 +551,16 @@ def save_term_matrix(tm: TermMatrix, path) -> None:
         "features": len(features),
         "meta": json.dumps(tm.meta, sort_keys=True),
     }
-    _write_container(path, _TERM_MATRIX_MAGIC, header, [*tm.terms, *features], tm.matrix)
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in [_TERM_MATRIX_MAGIC, *(f"{k} {v}" for k, v in header.items()), *labels]:
+            fh.write(line + "\n")
+        for row in tm.matrix:
+            fh.write(_fmt_row(row) + "\n")
 
 
 def load_term_matrix(path) -> TermMatrix:
     """Load a term matrix written by :func:`save_term_matrix`."""
-    reader = _ContainerReader(path, _TERM_MATRIX_MAGIC)
+    reader = _ContainerReader(path)
     kind = reader.field("kind", lambda value: _check_one_of("kind", value, TERM_MATRIX_KINDS))
     n_terms, dims, n_features = (reader.count(key) for key in ("terms", "dims", "features"))
     reader.check(n_features in (0, dims), f"'features' must be 0 or 'dims' ({dims})")

@@ -10,9 +10,7 @@ from dtrkit.classifier import (
     build_bow_matrix,
     compute_idf,
     decision_function,
-    load_svm_model,
     predict,
-    save_svm_model,
     train_linear_svm,
 )
 from dtrkit.corpus import build_vocabulary
@@ -380,38 +378,3 @@ class TestStandardization:
         X = np.hstack([X, np.full((20, 1), 7.0)])
         model = train_linear_svm(X, y, C=1.0, standardize=True)
         assert np.isfinite(model.weights).all()
-
-
-class TestModelSerialization:
-    def test_roundtrip_exact(self, tmp_path, rng):
-        X, y = separable_set(rng, n=30)
-        model = train_linear_svm(X, y, C=2.5)
-        path = tmp_path / "model.txt"
-        save_svm_model(model, path)
-        back = load_svm_model(path)
-        assert back.categories == model.categories
-        assert back.C == model.C
-        assert back.n_features == model.n_features
-        assert back.meta == model.meta
-        np.testing.assert_array_equal(back.weights, model.weights)
-        probe = rng.normal(size=(20, 2))
-        assert predict(back, probe) == predict(model, probe)
-
-    def test_roundtrip_standardized(self, tmp_path, rng):
-        X, y = separable_set(rng, n=30)
-        model = train_linear_svm(X, y, C=1.0, standardize=True)
-        path = tmp_path / "model.txt"
-        save_svm_model(model, path)
-        back = load_svm_model(path)
-        np.testing.assert_array_equal(back.feature_mean, model.feature_mean)
-        np.testing.assert_array_equal(back.feature_scale, model.feature_scale)
-        probe = rng.normal(size=(10, 2))
-        np.testing.assert_array_equal(
-            decision_function(back, probe), decision_function(model, probe)
-        )
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a model\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_svm_model(path)

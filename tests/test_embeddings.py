@@ -274,7 +274,7 @@ class TestSgnsStep:
         x = np.linspace(-745.0, 745.0, 149_001)  # a step of 0.01
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = embeddings._sigmoid(x)
+            got = np.exp(embeddings._log_sigmoid(x))  # the sigmoid that _sgns_step computes
         want = np.array([sigmoid(v) for v in x.tolist()])
         assert want.min() > 0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -1,8 +1,7 @@
 """Property tests for the tokenizer, the corpus count matrix and everything
 read from it, stratified folds and each fold's vocabulary and sides, SSR
-k-means, the SVM solver, the SVM model, term-matrix and word2vec
-containers, the skip-gram scatter and negative draw, and the jsonl corpus
-file."""
+k-means, the SVM solver, the term-matrix and word2vec containers, the
+skip-gram scatter and negative draw, and the jsonl corpus file."""
 
 import json
 import math
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtrkit import classifier, embeddings, representations
-from dtrkit.classifier import BOW_WEIGHTINGS, SvmModel, load_svm_model, save_svm_model, train_linear_svm
+from dtrkit.classifier import BOW_WEIGHTINGS, train_linear_svm
 from dtrkit.corpus import (
     AuthorDoc,
     Corpus,
@@ -437,33 +436,7 @@ def test_fold_features_match_naive_fold_features(case):
 FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
-# Any unicode text, plus spaces, quotes and non-ASCII drawn often.
-CATEGORY = st.text(max_size=6) | st.sampled_from(
-    [" ", "a b", '"', "'", 'say "hi"', "\u00e9t\u00e9", "\U0001F600"]
-)
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | FLOATS
-
-
-@st.composite
-def svm_models(draw):
-    categories = draw(st.lists(CATEGORY, min_size=2, max_size=5, unique=True))
-    n_features = draw(st.integers(0, 4))
-    n_machines = 1 if len(categories) == 2 else len(categories)
-    vectors = st.lists(FLOATS, min_size=n_features, max_size=n_features).map(np.array)
-    size = n_machines * (n_features + 1)
-    weights = draw(st.lists(FLOATS, min_size=size, max_size=size))
-    mean = scale = None
-    if draw(st.booleans()):
-        mean, scale = draw(vectors), draw(vectors)
-    return SvmModel(
-        categories,
-        draw(st.floats(min_value=5e-324, max_value=1.7e308)),
-        np.array(weights).reshape(n_machines, n_features + 1),
-        n_features,
-        meta=draw(st.dictionaries(st.text(max_size=5), JSON_SCALARS, max_size=4)),
-        feature_mean=mean,
-        feature_scale=scale,
-    )
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -492,25 +465,6 @@ def test_svm_weights_do_not_depend_on_row_order(problem):
     assert permuted.categories == model.categories
     for w, v in zip(model.weights, permuted.weights):
         assert np.linalg.norm(w - v) <= 1e-10 * np.linalg.norm(w)
-
-
-@settings(deadline=None)
-@given(svm_models())
-def test_svm_model_round_trips_bit_for_bit(model):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.txt"
-        save_svm_model(model, path)
-        back = load_svm_model(path)
-    assert back.categories == model.categories
-    assert back.C == model.C
-    assert back.n_features == model.n_features
-    assert back.meta == model.meta
-    assert same_bits(back.weights, model.weights)
-    if model.feature_mean is None:
-        assert back.feature_mean is None and back.feature_scale is None
-    else:
-        assert same_bits(back.feature_mean, model.feature_mean)
-        assert same_bits(back.feature_scale, model.feature_scale)
 
 
 # Strings that pass the Corpus author-id check (non-empty, no line

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from dtrkit import representations
-from dtrkit.classifier import SvmModel, build_bow_matrix, load_svm_model, save_svm_model
+from dtrkit.classifier import build_bow_matrix
 from dtrkit.corpus import AuthorDoc, Corpus, build_vocabulary
 from dtrkit.representations import (
     SubprofileAssignment,
@@ -531,14 +531,28 @@ class TestSerialization:
         assert back.feature_names == tm.feature_names
         np.testing.assert_array_equal(back.matrix, tm.matrix)
 
-    def test_text_layout(self, tmp_path):
-        tm = TermMatrix("DOR", ["a", "b"], np.array([[0.1, 0.0], [-2.5, 1e-300]]), ["d0", "d1"])
+    @pytest.mark.parametrize(
+        "tm, text",
+        [
+            (
+                TermMatrix("DOR", ["a", "b"], np.array([[0.1, 0.0], [-2.5, 1e-300]]), ["d0", "d1"]),
+                b"dtr-term-matrix 1\nkind DOR\nterms 2\ndims 2\nfeatures 2\nmeta {}\n"
+                b"a\nb\nd0\nd1\n0.10000000000000001 0\n-2.5 1e-300\n",
+            ),
+            (
+                TermMatrix(
+                    "EMBEDDING", ["x", "y"], np.array([[-0.0, 1 / 3, 2e20]] * 2), meta={"seed": 3}
+                ),
+                b"dtr-term-matrix 1\nkind EMBEDDING\nterms 2\ndims 3\nfeatures 0\n"
+                b'meta {"seed": 3}\nx\ny\n' + b"-0 0.33333333333333331 2e+20\n" * 2,
+            ),
+        ],
+        ids=["dor", "embedding-with-meta"],
+    )
+    def test_text_layout(self, tmp_path, tm, text):
         path = tmp_path / "m.txt"
         save_term_matrix(tm, path)
-        assert path.read_bytes() == (
-            b"dtr-term-matrix 1\nkind DOR\nterms 2\ndims 2\nfeatures 2\nmeta {}\n"
-            b"a\nb\nd0\nd1\n0.10000000000000001 0\n-2.5 1e-300\n"
-        )
+        assert path.read_bytes() == text
 
     def test_writing_holds_less_than_the_file(self, tmp_path, rng):
         # A 300 x 300 matrix is about 1.8 MB of text; written a row at a
@@ -565,17 +579,6 @@ class TestSerialization:
         path = tmp_path / "m.txt"
         with pytest.raises(ValueError, match="row 1 holds a non-finite value"):
             save_term_matrix(tm, path)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("field", ["weights", "feature_mean"])
-    def test_non_finite_svm_model_rejected_before_writing(self, tmp_path, field):
-        model = SvmModel(
-            ["x", "y"], 1.0, np.zeros((1, 3)), 2, feature_mean=np.zeros(2), feature_scale=np.ones(2)
-        )
-        getattr(model, field)[0] = np.nan
-        path = tmp_path / "model.txt"
-        with pytest.raises(ValueError, match="non-finite value"):
-            save_svm_model(model, path)
         assert not path.exists()
 
     def test_label_with_line_break_rejected_before_writing(self, tmp_path):
@@ -607,12 +610,7 @@ def write_term_matrix(path):
     return load_term_matrix
 
 
-def write_svm_model(path):
-    save_svm_model(SvmModel(["x", "y", "z"], 1.0, np.arange(9.0).reshape(3, 3), 2), path)
-    return load_svm_model
-
-
-@pytest.mark.parametrize("write", [write_term_matrix, write_svm_model])
+@pytest.mark.parametrize("write", [write_term_matrix])
 @pytest.mark.parametrize("case", [*MALFORMED, "npz file from an earlier version"])
 def test_malformed_container_names_file_and_line(tmp_path, write, case):
     path = tmp_path / "container.txt"

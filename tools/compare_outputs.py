@@ -8,7 +8,11 @@ Both revisions are checked out with ``git worktree`` into a temporary
 directory.  In each checkout, that checkout's own ``perfbench/workloads.py``
 (imported, never edited) generates the long-docs, many-authors and
 embeddings inputs at each seed: the corpus, the run config and, for
-embeddings, the pretrained vectors file.  Then ``dtrkit run`` and
+embeddings, the pretrained vectors file.  It also writes the DOR, TCOR and
+SSR term matrices of the whole corpus over its ``CUT_MAX_TERMS``-term
+vocabulary (SSR with 3 subclasses per category, seeded with the workload
+seed) with ``save_term_matrix``, so the container bytes and the exact
+values of the three builders are compared too.  Then ``dtrkit run`` and
 ``dtrkit top-terms`` run on them as the benchmark runs them, and
 ``dtrkit characterize`` writes each corpus's characteristics CSV.  Every
 workload's vocabulary is smaller than the default ``max_terms``, so ``run``
@@ -20,12 +24,12 @@ embeddings corpus ``dtrkit embed-train`` runs with no skip-gram flag, and
 word.  Every command runs in a fresh interpreter with one BLAS thread,
 side A under one ``PYTHONHASHSEED`` and side B under another.
 
-Every input, report, CSV, vectors file and captured stdout is then compared
-after each side's own directory is replaced by one placeholder.  The tool
-names each file that differs, or is missing on one side, and exits 1 if
-there is any; it exits 0 when all are byte-identical, and 2 when a revision
-cannot be checked out or a command fails.  The checkouts and outputs are
-removed at the end.
+Every input, term matrix, report, CSV, vectors file and captured stdout is
+then compared after each side's own directory is replaced by one
+placeholder.  The tool names each file that differs, or is missing on one
+side, and exits 1 if there is any; it exits 0 when all are byte-identical,
+and 2 when a revision cannot be checked out or a command fails.  The
+checkouts and outputs are removed at the end.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ CUT_MAX_TERMS = 150  # below every workload's vocabulary size (about 200 to 1,00
 # Run in a fresh interpreter as ``python -c GENERATE CHECKOUT NAME SEED OUT CUT``:
 # writes the workload's inputs into OUT through the checkout's own harness,
 # plus a copy of the run config with ``max_terms`` CUT on every
-# representation, and prints the argument lists of the commands to run on them.
+# representation and the DOR, TCOR and SSR term matrices of the whole corpus
+# over its CUT-term vocabulary, and prints the argument lists of the commands
+# to run on them.
 GENERATE = """
 import json, sys
 from pathlib import Path
@@ -55,8 +61,18 @@ checkout, name, seed, out = sys.argv[1], sys.argv[2], int(sys.argv[3]), Path(sys
 cut = sys.argv[5]
 sys.path.insert(0, str(Path(checkout) / "perfbench"))
 import workloads
+dtrkit = workloads.import_dtrkit()
 spec = workloads.WORKLOADS[name]
-paths = workloads.generate(workloads.import_dtrkit(), name, spec, seed, out / "inputs")
+paths = workloads.generate(dtrkit, name, spec, seed, out / "inputs")
+corpus = dtrkit.load_corpus(paths["corpus"], "jsonl")
+vocab = dtrkit.build_vocabulary(corpus, int(cut))
+assignment = dtrkit.cluster_subprofiles(corpus, workloads.TASK, vocab, k_per_class=3, seed=seed)
+for kind, tm in [
+    ("dor", dtrkit.build_dor(corpus, vocab)),
+    ("tcor", dtrkit.build_tcor(corpus, vocab)),
+    ("ssr", dtrkit.build_ssr(corpus, vocab, assignment)),
+]:
+    dtrkit.save_term_matrix(tm, out / f"term_matrix_{kind}.txt")
 config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
 for rep in config["representations"]:
     rep["max_terms"] = int(cut)
