@@ -581,6 +581,16 @@ class TestSerialization:
             save_term_matrix(tm, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad_rows", [[0], [2, 4], [4]])
+    def test_first_non_finite_row_is_named(self, tmp_path, bad_rows):
+        matrix = np.zeros((5, 2))
+        matrix[bad_rows, 1] = np.nan
+        tm = TermMatrix("EMBEDDING", [f"t{i}" for i in range(5)], matrix, meta={"seed": 3})
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=f"row {bad_rows[0]} holds a non-finite value"):
+            save_term_matrix(tm, path)
+        assert not path.exists()
+
     def test_label_with_line_break_rejected_before_writing(self, tmp_path):
         tm = TermMatrix("SSR", ["a\nb"], np.zeros((1, 1)))
         path = tmp_path / "m.txt"
@@ -592,6 +602,8 @@ class TestSerialization:
 # Each case rewrites the lines of a valid container whose last two lines
 # are rows of three values.
 MALFORMED = {
+    "not a container": lambda lines: ["not a term matrix"],
+    "unknown format version": lambda lines: ["dtr-term-matrix 2", *lines[1:]],
     "truncated header": lambda lines: lines[:3],
     "header key out of place": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
     "missing row": lambda lines: lines[:-1],
@@ -610,7 +622,13 @@ def write_term_matrix(path):
     return load_term_matrix
 
 
-@pytest.mark.parametrize("write", [write_term_matrix])
+def write_term_matrix_without_features(path):
+    tm = TermMatrix("EMBEDDING", ["x", "y"], np.arange(6.0).reshape(2, 3), meta={"seed": 3})
+    save_term_matrix(tm, path)
+    return load_term_matrix
+
+
+@pytest.mark.parametrize("write", [write_term_matrix, write_term_matrix_without_features])
 @pytest.mark.parametrize("case", [*MALFORMED, "npz file from an earlier version"])
 def test_malformed_container_names_file_and_line(tmp_path, write, case):
     path = tmp_path / "container.txt"
